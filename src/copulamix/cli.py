@@ -35,12 +35,21 @@ class UsageError(ValueError):
     pass
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: str, content: str) -> None:
+    """Write through a temporary file and rename it into place.  The file
+    gets the mode a plain ``open`` would give, not mkstemp's 0600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,14 +68,15 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _chain_config(args, g: int, family: str) -> sp.ChainConfig:
+def _chain_config(args, g: int, family: str,
+                  keep_draws: bool = False) -> sp.ChainConfig:
     if g < 1:
         raise UsageError("g must be >= 1")
     try:
         return sp.ChainConfig(
             g=g, family=family, iterations=args.iters, burn_in=args.burnin,
             seed=args.seed, n_chains=args.chains,
-            mh_latent_threshold=args.mh_threshold, keep_draws=True,
+            mh_latent_threshold=args.mh_threshold, keep_draws=keep_draws,
             thin=args.thin)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -83,7 +93,7 @@ def _partition_csv(result: sp.FitResult) -> str:
 
 def cmd_fit(args) -> int:
     dataset = load_dataset(args.data, args.schema)
-    config = _chain_config(args, args.g, args.family)
+    config = _chain_config(args, args.g, args.family, keep_draws=True)
     out = _ensure_outdir(args.out)
     _note(f"fitting g={args.g} {args.family} model on {dataset.n} rows")
     result = sp.fit(dataset, config)

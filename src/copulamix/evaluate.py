@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.special import gammaln, logsumexp
 
 from . import gauss, margins as mg, sampler as sp
@@ -61,6 +60,18 @@ def kl_divergence_mc(sample_true, logpdf_true, logpdf_est, n: int,
     return est, se, dropped
 
 
+def _label_matching(labels_est, labels_true, g: int):
+    """Confusion counts and the label matching that maximizes agreement."""
+    # imported here: it is costly, and only evaluation needs it
+    from scipy.optimize import linear_sum_assignment
+
+    confusion = np.zeros((g, g))
+    np.add.at(confusion, (np.asarray(labels_est, int),
+                          np.asarray(labels_true, int)), 1.0)
+    rows, cols = linear_sum_assignment(-confusion)
+    return confusion, rows, cols
+
+
 def misclassification_rate(labels_est, labels_true) -> float:
     """Fraction of misassigned rows, minimized over label permutations."""
     a = np.asarray(labels_est, dtype=int)
@@ -68,9 +79,7 @@ def misclassification_rate(labels_est, labels_true) -> float:
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("label vectors must be 1-d and of equal length")
     g = int(max(a.max(), b.max())) + 1
-    confusion = np.zeros((g, g))
-    np.add.at(confusion, (a, b), 1.0)
-    rows, cols = linear_sum_assignment(-confusion)
+    confusion, rows, cols = _label_matching(a, b, g)
     return float(1.0 - confusion[rows, cols].sum() / a.size)
 
 
@@ -298,10 +307,7 @@ def _fit_metrics_copula(dataset: MixedDataset, labels_true: np.ndarray,
 
 
 def _align_first_component(labels_est, labels_true, g: int) -> int:
-    confusion = np.zeros((g, g))
-    np.add.at(confusion, (np.asarray(labels_est, int),
-                          np.asarray(labels_true, int)), 1.0)
-    rows, cols = linear_sum_assignment(-confusion)
+    _, rows, cols = _label_matching(labels_est, labels_true, g)
     mapping = dict(zip(cols, rows))
     return int(mapping[0])
 

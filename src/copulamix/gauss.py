@@ -213,42 +213,48 @@ def inverse_wishart_sample(df: float, scale: np.ndarray,
 # ---------------------------------------------------------------------------
 # truncated normal sampling
 
+def _upper_tail_terms(lower, upper):
+    """Survival-function terms of (lower, upper) on its upper tail.
+
+    A row whose midpoint is not positive is mirrored to (-upper, -lower),
+    which has the same mass, so every element goes through one path.
+    Returns ``flip`` (the mirrored rows), ``log_sf_a`` = log sf(a) and
+    ``ratio`` = sf(b) / sf(a) for the (possibly mirrored) interval (a, b).
+    """
+    finite_lo = np.isfinite(lower)
+    finite_hi = np.isfinite(upper)
+    lo_f = np.where(finite_lo, lower, 0.0)
+    hi_f = np.where(finite_hi, upper, 0.0)
+    # one finite end stands in for the midpoint; none gives 0
+    mid = np.where(finite_lo & finite_hi, 0.5 * (lo_f + hi_f), lo_f + hi_f)
+    flip = ~((mid > 0) & (mid < np.inf))  # an overflowed midpoint counts as 0
+    neg_a = np.where(flip, upper, -lower)
+    neg_b = np.where(flip, lower, -upper)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_sf_a = log_ndtr(neg_a)
+        log_sf_b = np.where(np.isinf(neg_b), -np.inf, log_ndtr(neg_b))
+        ratio = np.exp(log_sf_b - log_sf_a)
+    return flip, log_sf_a, ratio
+
+
 def _trunc_std_normal(lower, upper, u):
     """Inverse-cdf draw of a standard normal restricted to (lower, upper).
 
     ``u`` are uniforms of matching shape.  Evaluated in log space on the
-    nearest tail, so intervals many standard deviations out stay exact.
+    upper tail, mirroring lower-tail intervals, so intervals many standard
+    deviations out stay exact.  The draw is the truncated quantile at ``u``
+    when the interval's midpoint is positive and at ``1 - u`` otherwise.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     u = np.asarray(u, dtype=float)
     lower, upper, u = np.broadcast_arrays(lower, upper, u)
 
-    mid = np.where(np.isfinite(lower) & np.isfinite(upper),
-                   0.5 * (lower + upper),
-                   np.where(np.isfinite(lower), lower, upper))
-    mid = np.where(np.isfinite(mid), mid, 0.0)
-    upper_tail = mid > 0
-
-    # upper tail: parameterize by the survival function
+    flip, log_sf_a, ratio = _upper_tail_terms(lower, upper)
     with np.errstate(divide="ignore", invalid="ignore"):
-        la = log_ndtr(-lower)          # log sf(lower)
-        lb = np.where(np.isinf(upper), -np.inf, log_ndtr(-upper))
-        ratio = np.exp(np.where(upper_tail, lb - la, 0.0))
-        w = u * (ratio - 1.0)
-        log_sf = la + np.log1p(w)
-        x_hi = -ndtri_exp(np.minimum(log_sf, 0.0))
-
-        # lower tail: parameterize by the cdf, mirrored
-        lc = log_ndtr(upper)           # log cdf(upper)
-        ld = np.where(np.isinf(lower), -np.inf, log_ndtr(lower))
-        ratio2 = np.exp(np.where(upper_tail, 0.0, ld - lc))
-        w2 = u * (ratio2 - 1.0)
-        log_cdf = lc + np.log1p(w2)
-        x_lo = ndtri_exp(np.minimum(log_cdf, 0.0))
-
-    out = np.where(upper_tail, x_hi, x_lo)
-    return np.clip(out, lower, upper)
+        log_sf = log_sf_a + np.log1p(u * (ratio - 1.0))
+        x = ndtri_exp(np.minimum(log_sf, 0.0))
+    return np.clip(np.where(flip, x, -x), lower, upper)
 
 
 def log_gaussian_interval(lower, upper):
@@ -256,20 +262,9 @@ def log_gaussian_interval(lower, upper):
     both tails; -inf for an empty interval."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    mid = np.where(np.isfinite(lower) & np.isfinite(upper),
-                   0.5 * (lower + upper),
-                   np.where(np.isfinite(lower), lower, upper))
-    mid = np.where(np.isfinite(mid), mid, 0.0)
+    _, log_sf_a, ratio = _upper_tail_terms(lower, upper)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # right tail: work with survival functions
-        la = log_ndtr(-lower)
-        lb = np.where(np.isinf(upper), -np.inf, log_ndtr(-upper))
-        right = la + np.log1p(-np.exp(lb - la))
-        # left tail: work with cdfs
-        lc = log_ndtr(upper)
-        ld = np.where(np.isinf(lower), -np.inf, log_ndtr(lower))
-        left = lc + np.log1p(-np.exp(ld - lc))
-    out = np.where(mid > 0, right, left)
+        out = log_sf_a + np.log1p(-ratio)
     return np.where(lower < upper, out, -np.inf)
 
 

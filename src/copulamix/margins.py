@@ -185,15 +185,27 @@ def latent_bounds(x, margin: MarginParams) -> tuple[float, float]:
 
 
 def latent_bounds_arrays(x, margin: MarginParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized latent bounds for a whole column of discrete observations."""
+    """Vectorized latent bounds for a whole column of discrete observations.
+
+    The cdf and its normal quantile are evaluated once per distinct support
+    value: the observed counts of a Poisson margin, the ``levels + 1``
+    cutpoints of an ordinal one.
+    """
     if not is_discrete(margin):
         raise SupportError("latent bounds are defined for discrete margins only")
     x = np.asarray(x, dtype=float)
     _check_support(x, margin)
+    if isinstance(margin, PoissonMargin):
+        values, index = np.unique(x, return_inverse=True)
+        index = index.reshape(x.shape)
+        with np.errstate(divide="ignore"):
+            lo = ndtri(cdf_array(values - 1.0, margin))
+            hi = ndtri(cdf_array(values, margin))
+        return lo[index], hi[index]
     with np.errstate(divide="ignore"):
-        lo = ndtri(cdf_array(x - 1.0, margin))
-        hi = ndtri(cdf_array(x, margin))
-    return lo, hi
+        cuts = ndtri(cdf_array(np.arange(margin.levels + 1.0), margin))
+    level = x.astype(int)
+    return cuts[level - 1], cuts[level]
 
 
 # ---------------------------------------------------------------------------

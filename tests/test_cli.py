@@ -108,6 +108,12 @@ class TestFit:
         assert len(doc["chain_logliks"]) == 1
         assert np.array(doc["accept_margins"]).shape == (2, 3)
 
+    def test_bundle_modes_match_plain_open(self, fit_dir):
+        # atomic writes must not leave mkstemp's 0600 behind
+        mode = (fit_dir / "chain.ndjson").stat().st_mode
+        for path in fit_dir.iterdir():
+            assert path.stat().st_mode == mode, path.name
+
     def test_reproducible(self, sim_dir, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]
         for out in outs:
@@ -152,6 +158,21 @@ class TestSelect:
         assert len(doc["cells"]) == 4
         assert doc["best_bic"]["g"] in (1, 2)
         assert doc["best_icl"]["family"] in ("independent", "heteroscedastic")
+
+    def test_keeps_no_draws(self, sim_dir, tmp_path, monkeypatch):
+        kept = []
+        real_fit = sp.fit
+
+        def fit(dataset, config):
+            kept.append(config.keep_draws)
+            return real_fit(dataset, config)
+
+        monkeypatch.setattr(sp, "fit", fit)
+        assert run(["select", str(sim_dir / "data.csv"),
+                    str(sim_dir / "schema.txt"), "--gmin", "1", "--gmax", "1",
+                    "--families", "independent",
+                    "--out", str(tmp_path / "sel"), *FAST]) == cli.EXIT_OK
+        assert kept == [False]
 
     def test_bad_grid(self, sim_dir, tmp_path):
         assert run(["select", str(sim_dir / "data.csv"),
@@ -218,3 +239,14 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for sub in ("fit", "select", "simulate", "visualize", "eval"):
             assert sub in proc.stdout
+
+    def test_import_skips_scipy_optimize(self):
+        # only evaluation needs linear_sum_assignment; every command would
+        # otherwise pay for the import
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, copulamix.cli; "
+             "print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

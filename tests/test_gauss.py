@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -236,7 +237,59 @@ class TestBoxProbabilities:
         np.testing.assert_allclose(values, singles, rtol=1e-12)
 
 
+# interior, straddling, half-infinite and far-tail intervals
+KERNEL_INTERVALS = [
+    (-0.5, 1.2), (0.3, 2.0), (-2.0, -0.1), (-1.0, 1.0), (-3.0, 2.0),
+    (-2.0, 3.0), (1.5, np.inf), (-0.7, np.inf),
+    (-np.inf, -1.5), (-np.inf, 0.7), (30.0, 31.0), (39.0, 40.0),
+    (-40.0, -39.0), (-31.0, -30.0), (-np.inf, -30.0), (30.0, np.inf),
+    (-np.inf, np.inf),
+]
+
+
+def _midpoint(a, b):
+    if np.isfinite(a) and np.isfinite(b):
+        return 0.5 * (a + b)
+    if np.isfinite(a):
+        return a
+    return b if np.isfinite(b) else 0.0
+
+
+class TestTruncatedNormalKernel:
+    def test_matches_truncnorm_quantile(self):
+        # upper-tail intervals draw the truncated quantile at u, the
+        # others (mirrored) at 1 - u
+        rng = np.random.default_rng(12)
+        for a, b in KERNEL_INTERVALS:
+            u = rng.uniform(size=64)
+            x = gauss._trunc_std_normal(np.full(64, a), np.full(64, b), u)
+            q = u if _midpoint(a, b) > 0 else 1.0 - u
+            np.testing.assert_allclose(x, stats.truncnorm.ppf(q, a, b),
+                                       rtol=1e-12, err_msg=f"({a}, {b})")
+
+    def test_unbounded_row_warns_nothing(self):
+        rng = np.random.default_rng(13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = gauss.truncated_normal_rows(0.0, 1.0, -np.inf, np.inf, rng)
+            val = gauss.log_gaussian_interval(np.array([-np.inf]),
+                                              np.array([np.inf]))
+        assert np.isfinite(x)
+        assert val[0] == 0.0
+
+
 class TestLogGaussianInterval:
+    def test_matches_mpmath_in_both_tails(self):
+        mpmath = pytest.importorskip("mpmath")
+        a = np.array([lo for lo, _ in KERNEL_INTERVALS])
+        b = np.array([hi for _, hi in KERNEL_INTERVALS])
+        got = gauss.log_gaussian_interval(a, b)
+        # 450 digits resolve the upper-tail masses down to 1e-350
+        with mpmath.workdps(450):
+            expected = [float(mpmath.log(mpmath.ncdf(hi) - mpmath.ncdf(lo)))
+                        for lo, hi in KERNEL_INTERVALS]
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
     def test_matches_direct_in_bulk(self):
         lo = np.array([-1.0, 0.2, -np.inf])
         hi = np.array([0.5, 1.7, -1.0])

@@ -93,6 +93,23 @@ class TestLatentBounds:
             np.testing.assert_allclose(mass, np.exp(mg.logpdf_array(xs, m)),
                                        rtol=1e-10)
 
+    def test_arrays_match_elementwise(self):
+        rng = np.random.default_rng(4)
+        cases = [
+            (mg.PoissonMargin(4.0), np.r_[rng.poisson(4.0, 41), 0, 0, 19]),
+            (mg.OrdinalMargin([0.2, 0.5, 0.3]), np.r_[rng.integers(1, 4, 40), 1, 3]),
+            (mg.OrdinalMargin([0.6, 0.4]), np.r_[rng.integers(1, 3, 40), 1, 2]),
+        ]
+        for margin, xs in cases:
+            xs = rng.permutation(xs.astype(float))  # unsorted, with repeats
+            lo, hi = mg.latent_bounds_arrays(xs, margin)
+            expected = np.array([mg.latent_bounds(x, margin) for x in xs])
+            np.testing.assert_array_equal(lo, expected[:, 0])
+            np.testing.assert_array_equal(hi, expected[:, 1])
+            lo2, hi2 = mg.latent_bounds_arrays(xs.reshape(2, -1), margin)
+            np.testing.assert_array_equal(lo2, lo.reshape(2, -1))
+            np.testing.assert_array_equal(hi2, hi.reshape(2, -1))
+
     def test_edges_infinite(self):
         lo, hi = mg.latent_bounds(0.0, mg.PoissonMargin(2.0))
         assert lo == -np.inf and np.isfinite(hi)
