@@ -27,7 +27,7 @@ __all__ = [
     "inverse_wishart_sample",
     "truncated_univariate_normal_sample", "truncated_normal_rows",
     "log_gaussian_interval",
-    "truncated_mvn_sample", "truncated_mvn_gibbs_rows",
+    "truncated_mvn_sample", "gibbs_coefficients", "truncated_mvn_gibbs_rows",
     "box_probability", "box_probabilities",
     "bvn_rectangle", "mvn_logpdf_rows",
 ]
@@ -292,16 +292,36 @@ def truncated_univariate_normal_sample(mean: float, sd: float, lower: float,
     return float(truncated_normal_rows(mean, sd, lower, upper, rng))
 
 
+def gibbs_coefficients(cov: np.ndarray
+                       ) -> tuple[list[np.ndarray], list[float]]:
+    """Regression coefficients and conditional standard deviations of every
+    coordinate given the others, for a covariance of dimension at least 2.
+
+    These are the full conditionals a coordinate-wise Gibbs sweep draws
+    from; pass them to every ``truncated_mvn_gibbs_rows`` call that shares
+    the covariance.
+    """
+    coefs = []
+    sds = []
+    for j in range(cov.shape[0]):
+        coef, var = conditional_coefficients(cov, j)
+        coefs.append(coef)
+        sds.append(np.sqrt(var))
+    return coefs, sds
+
+
 def truncated_mvn_gibbs_rows(cov: np.ndarray, means: np.ndarray,
                              lower: np.ndarray, upper: np.ndarray,
                              rng: np.random.Generator, sweeps: int = 10,
-                             init: np.ndarray | None = None) -> np.ndarray:
+                             init: np.ndarray | None = None,
+                             coefficients: tuple | None = None) -> np.ndarray:
     """Coordinate-wise Gibbs sampling of a box-truncated multivariate normal,
     vectorized over rows that share one covariance.
 
     ``means``, ``lower`` and ``upper`` are (n, d); the return value lies
-    strictly inside its box row by row.  Warm start is the box-clamped mean
-    unless ``init`` provides a valid state.
+    strictly inside its box row by row, whatever the start.  The start is
+    the box-clamped mean unless ``init`` gives one.  ``coefficients`` is
+    ``gibbs_coefficients(cov)``, computed here when not given.
     """
     cov = np.asarray(cov, dtype=float)
     means = np.atleast_2d(np.asarray(means, dtype=float))
@@ -327,12 +347,9 @@ def truncated_mvn_gibbs_rows(cov: np.ndarray, means: np.ndarray,
     else:
         y = np.array(init, dtype=float, copy=True)
 
-    coefs = []
-    sds_c = []
-    for j in range(d):
-        coef, var = conditional_coefficients(cov, j)
-        coefs.append(coef)
-        sds_c.append(np.sqrt(var))
+    if coefficients is None:
+        coefficients = gibbs_coefficients(cov)
+    coefs, sds_c = coefficients
     rest_idx = [np.delete(np.arange(d), j) for j in range(d)]
 
     centered = y - means

@@ -32,7 +32,7 @@ __all__ = [
     "standardize_continuous", "latent_boxes",
     "component_logpdf", "component_logpdf_rows",
     "mixture_logpdf", "mixture_logpdf_rows",
-    "posterior_probs", "posterior_probs_rows",
+    "posterior_probs", "posterior_probs_rows", "posterior_and_logpdf_rows",
     "generate", "schema_of",
     "params_to_json", "params_from_json",
 ]
@@ -221,12 +221,15 @@ def latent_boxes(x_d: np.ndarray, component: ComponentParams
 
 def component_logpdf_rows(values: np.ndarray, component: ComponentParams,
                           rng: np.random.Generator | None = None,
-                          rel_tol: float = 1e-4
+                          rel_tol: float = 1e-4,
+                          boxes: tuple[np.ndarray, np.ndarray] | None = None
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Component log density for every row of ``values``.
 
     Returns (log densities, degenerate flags); a flagged row had its
     rectangle probability underflow and carries the log-density floor.
+    ``boxes`` is ``latent_boxes`` of the rows' discrete block when the
+    caller already has it.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n = values.shape[0]
@@ -241,7 +244,7 @@ def component_logpdf_rows(values: np.ndarray, component: ComponentParams,
     if d == 0:
         return out, np.zeros(n, dtype=bool)
 
-    lo, hi = latent_boxes(values[:, c:], component)
+    lo, hi = latent_boxes(values[:, c:], component) if boxes is None else boxes
     if c:
         cond_mean = y_c @ np.linalg.solve(corr[:c, :c], corr[:c, c:])
         cond_cov = corr[c:, c:] - corr[c:, :c] @ np.linalg.solve(corr[:c, :c],
@@ -271,10 +274,12 @@ def component_logpdf(x: np.ndarray, component: ComponentParams,
 
 
 def _component_log_matrix(values: np.ndarray, params: MixtureParams,
-                          rng: np.random.Generator | None,
-                          rel_tol: float) -> np.ndarray:
-    cols = [component_logpdf_rows(values, comp, rng=rng, rel_tol=rel_tol)[0]
-            for comp in params.components]
+                          rng: np.random.Generator | None, rel_tol: float,
+                          boxes: list | None = None) -> np.ndarray:
+    boxes = boxes or [None] * params.g
+    cols = [component_logpdf_rows(values, comp, rng=rng, rel_tol=rel_tol,
+                                  boxes=box)[0]
+            for comp, box in zip(params.components, boxes)]
     return np.column_stack(cols)
 
 
@@ -294,22 +299,42 @@ def mixture_logpdf(x: np.ndarray, params: MixtureParams,
                                      rng=rng, rel_tol=rel_tol)[0])
 
 
+def posterior_and_logpdf_rows(values: np.ndarray, params: MixtureParams,
+                              rng: np.random.Generator | None = None,
+                              rel_tol: float = 1e-4, boxes: list | None = None
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Posterior membership probabilities, degeneracy flags and mixture log
+    density per row, from one evaluation of the component densities.
+
+    The probabilities are an (n, g) simplex matrix; a row where every
+    component underflowed is flagged and gets the uniform vector.  The log
+    density equals ``mixture_logpdf_rows``.  ``boxes`` holds each
+    component's ``latent_boxes`` of the rows when the caller already has
+    them.
+    """
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    logs = _component_log_matrix(values, params, rng, rel_tol, boxes)
+    degenerate = np.all(logs <= LOG_DENSITY_FLOOR, axis=1)
+    logs = logs + np.log(params.proportions)
+    log_density = logsumexp(logs, axis=1, keepdims=True)
+    t = np.exp(logs - log_density)
+    t /= t.sum(axis=1, keepdims=True)
+    t[degenerate] = 1.0 / params.g
+    return t, degenerate, log_density[:, 0]
+
+
 def posterior_probs_rows(values: np.ndarray, params: MixtureParams,
                          rng: np.random.Generator | None = None,
-                         rel_tol: float = 1e-4
+                         rel_tol: float = 1e-4, boxes: list | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior component membership probabilities per row.
 
     Returns an (n, g) simplex matrix and per-row degeneracy flags; a row
-    where every component underflowed gets the uniform vector.
+    where every component underflowed gets the uniform vector.  ``boxes``
+    is as in ``posterior_and_logpdf_rows``.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    logs = _component_log_matrix(values, params, rng, rel_tol)
-    degenerate = np.all(logs <= LOG_DENSITY_FLOOR, axis=1)
-    logs = logs + np.log(params.proportions)
-    t = np.exp(logs - logsumexp(logs, axis=1, keepdims=True))
-    t /= t.sum(axis=1, keepdims=True)
-    t[degenerate] = 1.0 / params.g
+    t, degenerate, _ = posterior_and_logpdf_rows(values, params, rng,
+                                                 rel_tol, boxes)
     return t, degenerate
 
 

@@ -5,11 +5,19 @@ update, a per-(component, column) margin update that also refreshes the
 latent column, a Dirichlet proportion draw and an inverse-Wishart
 correlation draw.  The latent update is exact (multinomial labels plus a
 truncated multivariate normal) when the discrete dimension is small and a
-single Metropolis-Hastings move with an independence proposal otherwise;
-the margin update is always a Metropolis-Hastings move whose proposal is
-the conjugate posterior computed as if the correlation matrix were the
-identity, so under the locally independent family the proposal coincides
-with the target and every candidate is accepted.
+single Metropolis-Hastings move with an independence proposal otherwise.
+In the exact update the truncated normal is drawn by Gibbs sweeps: a row
+that keeps its label takes one sweep from its current coordinates, which
+already follow the target because the label is drawn independently of
+them; a relabelled row takes ten sweeps from a cold start; and when the
+conditional covariance is diagonal (always so under the independent
+family) every row takes one sweep, which is then an exact draw.  Each
+component's latent boxes are computed once per update and shared by the
+label probabilities and the coordinate draws.  The margin update is
+always a Metropolis-Hastings move whose proposal is the conjugate posterior
+computed as if the correlation matrix were the identity, so under the
+locally independent family the proposal coincides with the target and
+every candidate is accepted.
 
 Point estimation takes the elementwise mean of the post-burn-in draws
 (correlations re-normalized to unit diagonal, proportions and ordinal
@@ -32,7 +40,8 @@ from . import gauss, margins as mg
 from .model import (
     HETEROSCEDASTIC, HOMOSCEDASTIC, INDEPENDENT,
     ComponentParams, LatentState, MixtureParams,
-    mixture_logpdf_rows, posterior_probs_rows, standardize_continuous,
+    latent_boxes, posterior_and_logpdf_rows, posterior_probs_rows,
+    standardize_continuous,
 )
 from .schema import MixedDataset, check_identifiability
 
@@ -188,8 +197,9 @@ def init_local_independent(dataset: MixedDataset, g: int,
                 comps = [[_weighted_margin_mle(values[:, j], kinds[j], resp[:, k])
                           for j in range(len(kinds))] for k in range(g)]
                 logs = _independent_loglik_matrix(values, comps, np.log(pi))
-                ll = float(logsumexp(logs, axis=1).sum())
-                resp = np.exp(logs - logsumexp(logs, axis=1, keepdims=True))
+                row_ll = logsumexp(logs, axis=1, keepdims=True)
+                ll = float(row_ll[:, 0].sum())
+                resp = np.exp(logs - row_ll)
                 if ll - prev_ll <= tol * (1.0 + abs(ll)) and prev_ll > -np.inf:
                     break
                 prev_ll = ll
@@ -208,15 +218,11 @@ def init_local_independent(dataset: MixedDataset, g: int,
 # ---------------------------------------------------------------------------
 # latent structure helpers
 
-def _latent_bounds_for(values: np.ndarray, comp: ComponentParams,
-                       rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = comp.n_continuous
-    d = comp.n_discrete
-    lo = np.empty((rows.size, d))
-    hi = np.empty((rows.size, d))
-    for j, margin in enumerate(comp.margins[c:]):
-        lo[:, j], hi[:, j] = mg.latent_bounds_arrays(values[rows, c + j], margin)
-    return lo, hi
+def _all_boxes(values: np.ndarray, params: MixtureParams) -> list:
+    """Each component's latent boxes for every row, computed once and then
+    shared by the label probabilities and the coordinate draws."""
+    c = params.n_continuous
+    return [latent_boxes(values[:, c:], comp) for comp in params.components]
 
 
 def initial_latent_state(values: np.ndarray, params: MixtureParams,
@@ -227,7 +233,8 @@ def initial_latent_state(values: np.ndarray, params: MixtureParams,
     n = values.shape[0]
     c = params.n_continuous
     e = params.dim
-    t, _ = posterior_probs_rows(values, params, rng=rng)
+    boxes = _all_boxes(values, params)
+    t, _ = posterior_probs_rows(values, params, rng=rng, boxes=boxes)
     z = _categorical_rows(t, rng)
     y = np.empty((n, e))
     for k, comp in enumerate(params.components):
@@ -238,7 +245,7 @@ def initial_latent_state(values: np.ndarray, params: MixtureParams,
             y[np.ix_(rows, np.arange(c))] = standardize_continuous(
                 values[rows, :c], comp)
         if e > c:
-            lo, hi = _latent_bounds_for(values, comp, rows)
+            lo, hi = boxes[k][0][rows], boxes[k][1][rows]
             y[np.ix_(rows, np.arange(c, e))] = gauss.truncated_normal_rows(
                 np.zeros_like(lo), np.ones_like(lo), lo, hi, rng)
     return LatentState(y, z)
@@ -274,15 +281,52 @@ def _log_q1(values: np.ndarray, params: MixtureParams, y: np.ndarray,
     return out
 
 
+def _refresh_discrete(cond_cov: np.ndarray, cond_mean: np.ndarray,
+                      lo: np.ndarray, hi: np.ndarray, y_old: np.ndarray,
+                      kept: np.ndarray, rng: np.random.Generator
+                      ) -> np.ndarray:
+    """Discrete latent coordinates of the rows just given one component.
+
+    The new label z' is drawn from p(z | x, theta) independently of y, so on
+    the event z' = z the old y already follows p(y | z', x, theta).  A
+    kernel that leaves that law invariant, such as one Gibbs sweep, keeps it
+    there; these ``kept`` rows take one sweep from ``y_old``.  The other
+    rows take ten sweeps from a cold start.  With a diagonal conditional
+    covariance the coordinates are independent inside the box and one sweep
+    is an exact draw from any start, so every row takes one.  A sweep
+    redraws every coordinate inside its box, so the result is valid even
+    when ``y_old`` is not.
+    """
+    if not np.any(cond_cov - np.diag(np.diag(cond_cov))):
+        return gauss.truncated_mvn_gibbs_rows(cond_cov, cond_mean, lo, hi, rng,
+                                              sweeps=1, init=y_old)
+    coefficients = gauss.gibbs_coefficients(cond_cov)
+    out = np.empty_like(cond_mean)
+    if np.any(kept):
+        out[kept] = gauss.truncated_mvn_gibbs_rows(
+            cond_cov, cond_mean[kept], lo[kept], hi[kept], rng, sweeps=1,
+            init=y_old[kept], coefficients=coefficients)
+    cold = ~kept
+    if np.any(cold):
+        out[cold] = gauss.truncated_mvn_gibbs_rows(
+            cond_cov, cond_mean[cold], lo[cold], hi[cold], rng, sweeps=10,
+            coefficients=coefficients)
+    return out
+
+
 def step_latent(values: np.ndarray, params: MixtureParams, state: LatentState,
                 rng: np.random.Generator, mh_threshold: int = 6
                 ) -> tuple[LatentState, int, int]:
     """One update of (z, y) given the parameters.
 
-    Exact Gibbs draw when the discrete dimension is at most ``mh_threshold``;
-    otherwise one Metropolis-Hastings move per row with an independence
-    proposal (uniform label, independent truncated normal coordinates).
-    Returns the new state plus (accepted, proposed) counts for the move.
+    Exact path when the discrete dimension is at most ``mh_threshold``:
+    labels from their posterior, then the discrete coordinates by Gibbs
+    sweeps of their truncated conditional normal.  A row that keeps its
+    label takes one sweep started from its current coordinates, a relabelled
+    row ten sweeps from a cold start.  Otherwise one Metropolis-Hastings
+    move per row with an independence proposal (uniform label, independent
+    truncated normal coordinates).  Returns the new state plus (accepted,
+    proposed) counts for the move.
     """
     n = values.shape[0]
     c = params.n_continuous
@@ -290,7 +334,8 @@ def step_latent(values: np.ndarray, params: MixtureParams, state: LatentState,
     d = e - c
 
     if d <= mh_threshold:
-        t, _ = posterior_probs_rows(values, params, rng=rng)
+        boxes = _all_boxes(values, params)
+        t, _ = posterior_probs_rows(values, params, rng=rng, boxes=boxes)
         z = _categorical_rows(t, rng)
         y = np.array(state.y)
         for k, comp in enumerate(params.components):
@@ -302,7 +347,7 @@ def step_latent(values: np.ndarray, params: MixtureParams, state: LatentState,
                 y_c = standardize_continuous(values[rows, :c], comp)
                 y[np.ix_(rows, np.arange(c))] = y_c
             if d:
-                lo, hi = _latent_bounds_for(values, comp, rows)
+                lo, hi = boxes[k][0][rows], boxes[k][1][rows]
                 if c:
                     coef = np.linalg.solve(corr[:c, :c], corr[:c, c:])
                     cond_mean = y_c @ coef
@@ -311,8 +356,9 @@ def step_latent(values: np.ndarray, params: MixtureParams, state: LatentState,
                 else:
                     cond_mean = np.zeros((rows.size, d))
                     cond_cov = corr
-                y[np.ix_(rows, np.arange(c, e))] = gauss.truncated_mvn_gibbs_rows(
-                    cond_cov, cond_mean, lo, hi, rng)
+                y[np.ix_(rows, np.arange(c, e))] = _refresh_discrete(
+                    cond_cov, cond_mean, lo, hi, state.y[rows, c:],
+                    state.z[rows] == k, rng)
         return LatentState(y, z), 0, 0
 
     # Metropolis-Hastings path for a large discrete block
@@ -325,7 +371,7 @@ def step_latent(values: np.ndarray, params: MixtureParams, state: LatentState,
         if c:
             y_new[np.ix_(rows, np.arange(c))] = standardize_continuous(
                 values[rows, :c], comp)
-        lo, hi = _latent_bounds_for(values, comp, rows)
+        lo, hi = latent_boxes(values[rows, c:], comp)
         y_new[np.ix_(rows, np.arange(c, e))] = gauss.truncated_normal_rows(
             np.zeros_like(lo), np.ones_like(lo), lo, hi, rng)
 
@@ -353,21 +399,21 @@ def step_latent(values: np.ndarray, params: MixtureParams, state: LatentState,
 # ---------------------------------------------------------------------------
 # step (b): margin parameters plus their latent column
 
-def _cond_obs_loglik(x_col: np.ndarray, margin: mg.MarginParams,
-                     mu_t: np.ndarray, sd_t: np.ndarray,
-                     is_continuous: bool) -> np.ndarray:
+def _cond_obs_loglik(x_col: np.ndarray, margin: mg.MarginParams, box,
+                     mu_t: np.ndarray, sd_t: np.ndarray) -> np.ndarray:
     """Log density of the observation given the other latent coordinates.
 
-    Continuous columns contribute a scaled normal density of the
-    standardized value under its full conditional; discrete columns the
-    normal probability of the latent interval under that conditional.
+    Continuous columns (``box`` is None) contribute a scaled normal density
+    of the standardized value under its full conditional; discrete columns
+    the normal probability of their latent interval ``box`` = (lower,
+    upper) under that conditional.
     """
-    if is_continuous:
+    if box is None:
         yj = (x_col - margin.mu) / margin.sigma
         zed = (yj - mu_t) / sd_t
         return (-0.5 * (zed * zed + np.log(2.0 * np.pi)) - np.log(sd_t)
                 - np.log(margin.sigma))
-    lo, hi = mg.latent_bounds_arrays(x_col, margin)
+    lo, hi = box
     return gauss.log_gaussian_interval((lo - mu_t) / sd_t, (hi - mu_t) / sd_t)
 
 
@@ -401,22 +447,29 @@ def step_margins(values: np.ndarray, params: MixtureParams,
             x_col = values[rows, j]
             old = margins_by_comp[k][j]
             cand = mg.conjugate_posterior_sample(x_col, priors[j], rng)
+            # latent intervals of a discrete column under each margin; the
+            # accepted one's are reused for the refresh below
+            box_old = box_cand = None
+            if j >= c:
+                box_cand = mg.latent_bounds_arrays(x_col, cand)
 
             if independent:
                 mu_t = np.zeros(rows.size)
                 sd_t = np.ones(rows.size)
                 take = True
             else:
+                if j >= c:
+                    box_old = mg.latent_bounds_arrays(x_col, old)
                 coef, var = gauss.conditional_coefficients(comp.correlation, j)
                 mu_t = y[np.ix_(rows, rest)] @ coef
                 sd_t = np.full(rows.size, np.sqrt(var))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ll_ind_old = mg.logpdf_array(x_col, old).sum()
                     ll_ind_new = mg.logpdf_array(x_col, cand).sum()
-                    ll_cond_old = _cond_obs_loglik(x_col, old, mu_t, sd_t,
-                                                   j < c).sum()
-                    ll_cond_new = _cond_obs_loglik(x_col, cand, mu_t, sd_t,
-                                                   j < c).sum()
+                    ll_cond_old = _cond_obs_loglik(x_col, old, box_old,
+                                                   mu_t, sd_t).sum()
+                    ll_cond_new = _cond_obs_loglik(x_col, cand, box_cand,
+                                                   mu_t, sd_t).sum()
                 log_rho = ((ll_ind_old - ll_ind_new)
                            + (ll_cond_new - ll_cond_old))
                 take = (np.isfinite(ll_cond_new)
@@ -430,7 +483,7 @@ def step_margins(values: np.ndarray, params: MixtureParams,
             if j < c:
                 y[rows, j] = (x_col - margin.mu) / margin.sigma
             else:
-                lo, hi = mg.latent_bounds_arrays(x_col, margin)
+                lo, hi = box_cand if take else box_old
                 y[rows, j] = gauss.truncated_normal_rows(mu_t, sd_t, lo, hi, rng)
 
     comps = tuple(ComponentParams(params.components[k].correlation,
@@ -632,9 +685,10 @@ def run_chain(dataset: MixedDataset, config: ChainConfig,
                 draws.append(_draw_snapshot(params))
 
     estimate = acc.mean(config.family)
-    posterior, _ = posterior_probs_rows(values, estimate, rng=rng)
+    posterior, _, log_density = posterior_and_logpdf_rows(values, estimate,
+                                                          rng=rng)
     labels = np.argmax(posterior, axis=1)
-    loglik = float(mixture_logpdf_rows(values, estimate, rng=rng).sum())
+    loglik = float(log_density.sum())
 
     messages = []
     if agreement and float(np.mean(agreement)) < 0.5:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gauss, margins as mg
-from .model import ComponentParams, MixtureParams, posterior_probs_rows
+from . import gauss
+from .model import (ComponentParams, MixtureParams, latent_boxes,
+                    posterior_probs_rows)
 from .schema import MixedDataset
 
 __all__ = [
@@ -106,10 +107,7 @@ def conditional_latent_means(values: np.ndarray, component: ComponentParams,
     if d == 0:
         return out, err
 
-    lo = np.empty((n, d))
-    hi = np.empty((n, d))
-    for j, margin in enumerate(component.margins[c:]):
-        lo[:, j], hi[:, j] = mg.latent_bounds_arrays(values[:, c + j], margin)
+    lo, hi = latent_boxes(values[:, c:], component)
     if c:
         coef = np.linalg.solve(corr[:c, :c], corr[:c, c:])
         cond_mean = out[:, :c] @ coef
@@ -129,9 +127,11 @@ def conditional_latent_means(values: np.ndarray, component: ComponentParams,
     draws = np.zeros((n, d))
     sq = np.zeros((n, d))
     sample = None
+    coefficients = gauss.gibbs_coefficients(cond_cov)
     for _ in range(n_mc):
         sample = gauss.truncated_mvn_gibbs_rows(cond_cov, cond_mean, lo, hi,
-                                                rng, sweeps=2, init=sample)
+                                                rng, sweeps=2, init=sample,
+                                                coefficients=coefficients)
         draws += sample
         sq += sample * sample
     mean = draws / n_mc

@@ -143,6 +143,18 @@ class TestTruncatedNormal:
         np.testing.assert_allclose(draws.mean(0), keep.mean(0), atol=0.01)
         np.testing.assert_allclose(np.cov(draws.T), np.cov(keep.T), atol=0.01)
 
+    def test_gibbs_rows_shared_coefficients(self):
+        cov = np.array([[1.0, 0.6, -0.2], [0.6, 1.0, 0.1], [-0.2, 0.1, 1.0]])
+        lo = np.tile([0.0, -1.0, -np.inf], (50, 1))
+        hi = np.tile([2.0, 0.5, 0.3], (50, 1))
+        means = np.random.default_rng(10).normal(size=(50, 3))
+        plain = gauss.truncated_mvn_gibbs_rows(cov, means, lo, hi,
+                                               np.random.default_rng(11))
+        shared = gauss.truncated_mvn_gibbs_rows(
+            cov, means, lo, hi, np.random.default_rng(11),
+            coefficients=gauss.gibbs_coefficients(cov))
+        np.testing.assert_array_equal(plain, shared)
+
     def test_single_sample_wrapper(self):
         rng = np.random.default_rng(9)
         cov = np.array([[1.0, 0.3], [0.3, 1.0]])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from copulamix import gauss, margins as mg, model as mx, sampler as sp
 from copulamix.schema import MixedDataset, Schema, continuous, integer, ordinal
@@ -139,6 +140,31 @@ class TestStepLatent:
         assert proposed == 0
         assert state_invariants_hold(ds.values, params, state)
 
+    def test_warm_step_keeps_state_valid(self):
+        rng = np.random.default_rng(30)
+        params = example_mixture()
+        ds, _, _ = mx.generate(300, params, rng)
+        values = ds.values
+        state = sp.initial_latent_state(values, params, rng)
+        new, _, _ = sp.step_latent(values, params, state, rng)
+        kept = new.z == state.z
+        assert kept.any()
+        assert np.all(new.y[kept, 1:] != state.y[kept, 1:])
+        assert state_invariants_hold(values, params, new)
+        for k, comp in enumerate(params.components):
+            rows = new.z == k
+            lo, hi = mx.latent_boxes(values[rows, 1:], comp)
+            assert np.all((new.y[rows, 1:] > lo) & (new.y[rows, 1:] < hi))
+
+    def test_step_from_coordinates_outside_their_box(self):
+        rng = np.random.default_rng(31)
+        params = example_mixture()
+        ds, _, _ = mx.generate(300, params, rng)
+        state = sp.initial_latent_state(ds.values, params, rng)
+        far = mx.LatentState(np.full_like(state.y, 40.0), state.z)
+        new, _, _ = sp.step_latent(ds.values, params, far, rng)
+        assert state_invariants_hold(ds.values, params, new)
+
     def test_mh_path_used_beyond_threshold(self):
         rng = np.random.default_rng(8)
         params = example_mixture()
@@ -167,6 +193,102 @@ class TestStepLatent:
         # average over rows: empirical rate of label 2 vs posterior mass
         assert np.mean(hits / n_rounds) == pytest.approx(
             np.mean(t[:, 1]), abs=0.05)
+
+
+def _mixed_latent_case():
+    # c = 1, d = 2; component 2 has conditional discrete correlation 0.85
+    comp1 = mx.ComponentParams(
+        np.array([[1.0, 0.2, 0.2], [0.2, 1.0, 0.0], [0.2, 0.0, 1.0]]),
+        (mg.GaussianMargin(-1.0, 1.0), mg.OrdinalMargin([0.7, 0.3]),
+         mg.OrdinalMargin([0.7, 0.3])))
+    comp2 = mx.ComponentParams(
+        np.array([[1.0, 0.1, 0.1], [0.1, 1.0, 0.85], [0.1, 0.85, 1.0]]),
+        (mg.GaussianMargin(1.0, 1.0), mg.OrdinalMargin([0.3, 0.7]),
+         mg.OrdinalMargin([0.3, 0.7])))
+    params = mx.MixtureParams(np.array([0.5, 0.5]), (comp1, comp2))
+    rows = np.array([[-0.8, 2, 2], [0.0, 2, 1], [0.3, 1, 2], [0.3, 1, 1]])
+    return params, rows
+
+
+def _discrete_latent_case():
+    # c = 0, d = 2; component 1 has latent correlation 0.8
+    comp1 = mx.ComponentParams(np.array([[1.0, 0.8], [0.8, 1.0]]),
+                               (mg.PoissonMargin(1.0), mg.PoissonMargin(1.5)))
+    comp2 = mx.ComponentParams(np.array([[1.0, -0.3], [-0.3, 1.0]]),
+                               (mg.PoissonMargin(3.0), mg.PoissonMargin(2.5)))
+    params = mx.MixtureParams(np.array([0.4, 0.6]), (comp1, comp2))
+    rows = np.array([[0, 2], [1, 3], [2, 2], [3, 3]], dtype=float)
+    return params, rows
+
+
+def _exact_latent_draws(x, comp, size, rng):
+    """Independent draws of the discrete latent block given one row and one
+    component: the conditional normal, kept when it falls in the box."""
+    c = comp.n_continuous
+    corr = comp.correlation
+    bounds = [mg.latent_bounds_arrays(x[c + j: c + j + 1], m)
+              for j, m in enumerate(comp.margins[c:])]
+    lo = np.array([b[0][0] for b in bounds])
+    hi = np.array([b[1][0] for b in bounds])
+    y_c = np.array([(x[j] - m.mu) / m.sigma
+                    for j, m in enumerate(comp.margins[:c])])
+    coef = np.linalg.solve(corr[:c, :c], corr[:c, c:]) if c else None
+    mean = y_c @ coef if c else np.zeros(lo.size)
+    cov = corr[c:, c:] - corr[c:, :c] @ coef if c else corr
+    chol = np.linalg.cholesky(cov)
+    kept = []
+    while sum(len(k) for k in kept) < size:
+        cand = mean + rng.standard_normal((20_000, lo.size)) @ chol.T
+        kept.append(cand[np.all((cand > lo) & (cand < hi), axis=1)])
+    return np.concatenate(kept)[:size]
+
+
+class TestLatentStepLaw:
+    """Distribution-level check of the exact latent step (after Geweke 2004,
+    "Getting it right").  With the parameters fixed, the stationary law of
+    (z, y) under repeated ``step_latent`` must be p(z | x) times the
+    box-truncated conditional normal of y given z.  Each chosen row is
+    copied into many independent chains; thinned draws of those chains are
+    compared with exact draws: a binomial test on the label and a two-sample
+    KS test per discrete coordinate and label.  A kernel that warm-starts
+    relabelled rows from the old component's coordinates fails this test."""
+
+    replicas, burn_in, kept, thin = 250, 10, 8, 5
+    min_p = 1e-4
+
+    @pytest.mark.parametrize("case", [_mixed_latent_case,
+                                      _discrete_latent_case])
+    def test_chain_matches_exact_draws(self, case):
+        params, rows = case()
+        t, _ = mx.posterior_probs_rows(rows, params)
+        assert np.all((t > 0.2) & (t < 0.8))
+        m, c = rows.shape[0], params.n_continuous
+        values = np.repeat(rows, self.replicas, axis=0)
+        rng = np.random.default_rng(2004)
+        state = sp.initial_latent_state(values, params, rng)
+        zs, ys = [], []
+        for it in range(self.burn_in + self.kept * self.thin):
+            state, _, _ = sp.step_latent(values, params, state, rng)
+            if it >= self.burn_in and (it - self.burn_in) % self.thin == 0:
+                zs.append(state.z.reshape(m, self.replicas))
+                ys.append(state.y.reshape(m, self.replicas, -1))
+        z = np.concatenate(zs, axis=1)
+        y = np.concatenate(ys, axis=1)
+
+        ref_rng = np.random.default_rng(799)
+        for i in range(m):
+            p_label = stats.binomtest(int(np.sum(z[i] == 1)), z.shape[1],
+                                      t[i, 1]).pvalue
+            assert p_label > self.min_p, (i, p_label)
+            for k, comp in enumerate(params.components):
+                chain = y[i][z[i] == k]
+                y_c = mx.standardize_continuous(rows[i:i + 1, :c], comp)
+                np.testing.assert_array_equal(
+                    chain[:, :c], np.broadcast_to(y_c, (len(chain), c)))
+                exact = _exact_latent_draws(rows[i], comp, 4000, ref_rng)
+                for j in range(exact.shape[1]):
+                    p = stats.ks_2samp(chain[:, c + j], exact[:, j]).pvalue
+                    assert p > self.min_p, (i, k, j, p)
 
 
 class TestStepMargins:
@@ -351,6 +473,17 @@ class TestFit:
         assert res.params.proportions.sum() == pytest.approx(1.0)
         assert res.posterior.shape == (150, 2)
         assert res.accept_margins.shape == (2, 3)
+
+    def test_estimate_scored_once_matches_row_functions(self):
+        rng = np.random.default_rng(25)
+        ds, _, _ = mx.generate(150, example_mixture(), rng)
+        cfg = sp.ChainConfig(g=2, iterations=8, burn_in=2, n_chains=1)
+        res = sp.run_chain(ds, cfg, np.random.default_rng(26))
+        assert res.loglik == float(
+            mx.mixture_logpdf_rows(ds.values, res.params).sum())
+        posterior, _ = mx.posterior_probs_rows(ds.values, res.params)
+        np.testing.assert_array_equal(res.posterior, posterior)
+        np.testing.assert_array_equal(res.labels, np.argmax(posterior, axis=1))
 
     def test_chain_persistence_roundtrip(self, tmp_path):
         rng = np.random.default_rng(24)
