@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 __all__ = [
@@ -178,7 +178,9 @@ def mvn_logpdf_rows(y: np.ndarray, cov: np.ndarray) -> np.ndarray:
     if y.shape[1] == 0:
         return np.zeros(y.shape[0])
     chol = chol_spd(cov)
-    z = solve_triangular(chol, y.T, lower=True)
+    # numpy, not scipy's solve_triangular: that trsm call wakes an OpenBLAS
+    # helper thread, which then spins and takes a core from other chains
+    z = np.linalg.solve(chol, y.T)
     quad = np.sum(z * z, axis=0)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     return -0.5 * (quad + logdet + y.shape[1] * np.log(2.0 * np.pi))
@@ -205,7 +207,7 @@ def inverse_wishart_sample(df: float, scale: np.ndarray,
     a[idx] = rng.normal(size=idx[0].size)
     a[np.diag_indices(dim)] = np.sqrt(rng.chisquare(df - np.arange(dim)))
     # draw = C (A A^T)^{-1} C^T with A A^T ~ Wishart(df, I)
-    m = solve_triangular(a, c.T, lower=True)
+    m = np.linalg.solve(a, c.T)  # no BLAS helper thread, as in mvn_logpdf_rows
     draw = m.T @ m
     return 0.5 * (draw + draw.T)
 
@@ -555,7 +557,10 @@ def box_probabilities(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     """Zero-mean rectangle probabilities for many rows sharing one covariance.
 
     Returns (values, error estimates); the d <= 3 paths are deterministic and
-    report a small constant error bound.
+    report a small constant error bound.  Beyond that, quasi-Monte Carlo
+    starts at 512 points per shift and doubles, up to ``max_points``, for
+    the rows whose error still exceeds ``rel_tol`` of their value; a row
+    that has converged keeps its value and error.
     """
     cov = np.asarray(cov, dtype=float)
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
@@ -578,11 +583,15 @@ def box_probabilities(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     if rng is None:
         rng = np.random.default_rng(0)
     chol = chol_spd(cov)
-    pts = 512
+    pts = min(512, max_points)
     value, err = _mvn_qmc_batch(chol, lower, upper, rng, pts)
-    while pts < max_points and np.any(err > np.maximum(rel_tol * value, 1e-12)):
-        pts *= 2
-        value, err = _mvn_qmc_batch(chol, lower, upper, rng, pts)
+    todo = np.flatnonzero(err > np.maximum(rel_tol * value, 1e-12))
+    while todo.size and pts < max_points:
+        pts = min(2 * pts, max_points)
+        v, e = _mvn_qmc_batch(chol, lower[todo], upper[todo], rng, pts)
+        value[todo] = v
+        err[todo] = e
+        todo = todo[e > np.maximum(rel_tol * v, 1e-12)]
     return value, err
 
 

@@ -254,12 +254,6 @@ def parse_schema_text(text: str) -> dict[str, VariableKind]:
     return out
 
 
-def format_schema_text(schema: Schema) -> str:
-    """Render the schema in original file column order."""
-    order = sorted(range(schema.n_variables), key=lambda j: schema.file_order[j])
-    return "\n".join(f"{schema.names[j]} = {schema.kinds[j]}" for j in order) + "\n"
-
-
 def _sniff_delimiter(header: str) -> str:
     counts = {d: header.count(d) for d in (",", ";", "\t")}
     best = max(counts, key=counts.get)

@@ -62,12 +62,13 @@ class TestLinearAlgebra:
 
     def test_mvn_logpdf_rows_matches_scipy(self):
         rng = np.random.default_rng(2)
-        cov = gauss.random_correlation_matrix(3, rng)
-        y = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(
-            gauss.mvn_logpdf_rows(y, cov),
-            stats.multivariate_normal(np.zeros(3), cov).logpdf(y),
-            rtol=1e-10)
+        for e in (1, 2, 3, 4, 5):
+            cov = gauss.random_correlation_matrix(e, rng)
+            y = rng.normal(size=(10, e))
+            np.testing.assert_allclose(
+                gauss.mvn_logpdf_rows(y, cov),
+                stats.multivariate_normal(np.zeros(e), cov).logpdf(y),
+                rtol=1e-10)
 
 
 class TestInverseWishart:
@@ -237,6 +238,54 @@ class TestBoxProbabilities:
             if abs(value[0] - ref) > max(err[0], 2e-4):
                 misses += 1
         assert misses <= 2
+
+    def _qmc_rows(self, rng, n):
+        """d = 4 boxes from central to far out; each row's first lower bound
+        is distinct so a row can be recognized in a subset."""
+        cov = gauss.random_correlation_matrix(4, rng)
+        a = rng.normal(size=(n, 4)) * 1.5 - 1.0
+        a[:, 0] += np.arange(n) * 1e-6
+        b = a + rng.exponential(size=(n, 4)) + 0.3
+        return cov, a, b
+
+    def test_qmc_refines_only_unconverged_rows_up_to_cap(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        cov, a, b = self._qmc_rows(rng, 12)
+        calls = []  # (row ids, points, values, errors) per QMC pass
+        real = gauss._mvn_qmc_batch
+
+        def counting(chol, lower, upper, rng, n_points, **kw):
+            value, err = real(chol, lower, upper, rng, n_points, **kw)
+            ids = [int(np.flatnonzero(a[:, 0] == x)[0]) for x in lower[:, 0]]
+            calls.append((ids, n_points, value.copy(), err.copy()))
+            return value, err
+
+        monkeypatch.setattr(gauss, "_mvn_qmc_batch", counting)
+        value, err = gauss.box_probabilities(cov, a, b, rng, rel_tol=1e-4,
+                                             max_points=5000)
+        assert calls[0][0] == list(range(12))
+        assert max(points for _, points, _, _ in calls) == 5000
+        assert 0 < len(calls[-1][0]) < 12  # some rows stop early, some hit the cap
+        done = set()
+        last = {}
+        for ids, points, v, e in calls:
+            assert points <= 5000
+            assert not done & set(ids)
+            done |= {i for i, ok in zip(ids, e <= 1e-4 * v) if ok}
+            last.update({i: (vi, ei) for i, vi, ei in zip(ids, v, e)})
+        assert done
+        # a row keeps the value and error of the last pass it took part in
+        assert all(value[i] == vi and err[i] == ei
+                   for i, (vi, ei) in last.items())
+
+    def test_qmc_matches_dense_reference(self):
+        rng = np.random.default_rng(15)
+        cov, a, b = self._qmc_rows(rng, 5)
+        value, err = gauss.box_probabilities(cov, a, b, rng)
+        ref, ref_err = gauss._mvn_qmc_batch(gauss.chol_spd(cov), a, b,
+                                            np.random.default_rng(16), 2 ** 18)
+        assert np.all(ref_err < err)
+        assert np.all(np.abs(value - ref) <= err + ref_err)
 
     def test_many_rows_share_covariance(self):
         rng = np.random.default_rng(13)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -498,3 +504,120 @@ class TestFit:
         assert manifest["g"] == 2
         assert manifest["loglik"] == res.loglik
         np.testing.assert_allclose(draws[0]["pi"], res.draws[0]["pi"])
+
+
+def _two_workers(n_chains):
+    return min(n_chains, 2)
+
+
+def _no_fork():
+    raise AssertionError("a process was started")
+
+
+class TestChainPool:
+    """``fit`` runs its chains in forked workers; the worker count is
+    chosen by ``_chain_worker_count``, patched here to force either path."""
+
+    def _fit(self, monkeypatch, workers, **overrides):
+        monkeypatch.setattr(sp, "_chain_worker_count", workers)
+        ds, _, _ = mx.generate(120, example_mixture(),
+                               np.random.default_rng(27))
+        settings = dict(g=2, iterations=12, burn_in=3, n_chains=3, seed=6,
+                        keep_draws=True)
+        settings.update(overrides)
+        return sp.fit(ds, sp.ChainConfig(**settings))
+
+    @staticmethod
+    def _chain_number(rng):
+        return rng.bit_generator.seed_seq.spawn_key[-1]
+
+    def test_pool_matches_serial_bitwise(self, monkeypatch):
+        serial = self._fit(monkeypatch, lambda n: 1)
+        pooled = self._fit(monkeypatch, _two_workers)
+        assert mx.params_to_json(pooled.params) == \
+            mx.params_to_json(serial.params)
+        np.testing.assert_array_equal(pooled.posterior, serial.posterior)
+        np.testing.assert_array_equal(pooled.labels, serial.labels)
+        assert pooled.chain_logliks == serial.chain_logliks
+        assert len(serial.chain_logliks) == 3
+        assert pooled.chain_index == serial.chain_index
+        assert pooled.draws == serial.draws and len(serial.draws) == 12
+
+    def test_failed_chain_in_worker_is_skipped(self, monkeypatch):
+        full = self._fit(monkeypatch, lambda n: 1)
+        real = sp.run_chain
+
+        def second_chain_fails(dataset, config, rng, init=None):
+            if self._chain_number(rng) == 1:
+                raise sp.DegenerateFitError("collapsed")
+            return real(dataset, config, rng, init=init)
+
+        monkeypatch.setattr(sp, "run_chain", second_chain_fails)
+        pooled = self._fit(monkeypatch, _two_workers)
+        assert pooled.chain_logliks == (full.chain_logliks[0],
+                                        full.chain_logliks[2])
+
+        def every_chain_fails(dataset, config, rng, init=None):
+            raise sp.DegenerateFitError("collapsed")
+
+        monkeypatch.setattr(sp, "run_chain", every_chain_fails)
+        with pytest.raises(sp.DegenerateFitError, match="every chain failed"):
+            self._fit(monkeypatch, _two_workers)
+
+    def test_chain_warnings_reach_caller_in_order(self, monkeypatch):
+        real = sp.run_chain
+
+        def warning_chain(dataset, config, rng, init=None):
+            warnings.warn(f"chain {self._chain_number(rng)} switches labels",
+                          RuntimeWarning)
+            return real(dataset, config, rng, init=init)
+
+        monkeypatch.setattr(sp, "run_chain", warning_chain)
+        expected = [f"chain {i} switches labels" for i in range(3)]
+        for workers in (lambda n: 1, _two_workers):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                self._fit(monkeypatch, workers)
+            assert [str(w.message) for w in caught] == expected
+            assert all(w.category is RuntimeWarning for w in caught)
+
+    def test_single_chain_starts_no_process(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        res = self._fit(monkeypatch, sp._chain_worker_count, n_chains=1)
+        assert len(res.chain_logliks) == 1
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            res = self._fit(monkeypatch, sp._chain_worker_count, n_chains=2)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert len(res.chain_logliks) == 2
+
+
+def test_chain_wakes_no_blas_helper_thread():
+    # A serial chain must leave the other cores to the other chains'
+    # workers: CPU time outside the main thread (BLAS helper threads) stays
+    # under 5 % of the main thread's.  Run in a fresh process so that no
+    # thread woken by an earlier test is still spinning.
+    code = """if True:
+        import time
+        import numpy as np
+        from copulamix import model as mx, sampler as sp
+        from copulamix.evaluate import example1_params
+        ds, _, _ = mx.generate(200, example1_params(),
+                               np.random.default_rng(1))
+        cfg = sp.ChainConfig(g=2, iterations=15, burn_in=5, n_chains=1)
+        process, main = time.process_time(), time.thread_time()
+        sp.run_chain(ds, cfg, np.random.default_rng(2))
+        print(time.process_time() - process, time.thread_time() - main)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    process, main = map(float, proc.stdout.split())
+    assert process - main < 0.05 * main
