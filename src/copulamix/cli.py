@@ -202,6 +202,8 @@ def cmd_visualize(args) -> int:
         raise UsageError("axes must differ")
     if not (0 <= a < b < params.dim):
         raise UsageError(f"axes must satisfy 1 <= a < b <= {params.dim}")
+    if args.mc_draws < 8:
+        raise UsageError("--mc-draws must be at least 8 (one per shift)")
     out = _ensure_outdir(args.out)
     rng = np.random.default_rng(args.seed)
     projection = viz.project(dataset, params, k, axes=(a, b), rng=rng,
@@ -296,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", type=int, required=True,
                    help="1-based component index")
     p.add_argument("--axes", default="1,2", help="1-based axis pair, e.g. 1,2")
-    p.add_argument("--mc-draws", type=int, default=500)
+    p.add_argument("--mc-draws", type=int, default=500, help="evaluations "
+                   "per row: lattice points x 8 random shifts (at least 8)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_visualize)

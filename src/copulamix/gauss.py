@@ -1,8 +1,8 @@
 """Multivariate normal numerics.
 
-Conditional distributions, rectangle (box) probabilities, truncated sampling,
-inverse Wishart draws and covariance-to-correlation normalization.  Rectangle
-probabilities use a closed form in one dimension, a deterministic
+Conditional distributions, rectangle (box) probabilities, truncated sampling
+and means, inverse Wishart draws and covariance-to-correlation normalization.
+Rectangle probabilities use a closed form in one dimension, a deterministic
 Drezner/Genz algorithm in two, a Gauss-Legendre conditioning rule in three
 and randomized quasi-Monte Carlo separation of variables beyond that.
 
@@ -28,7 +28,7 @@ __all__ = [
     "truncated_univariate_normal_sample", "truncated_normal_rows",
     "log_gaussian_interval",
     "truncated_mvn_sample", "gibbs_coefficients", "truncated_mvn_gibbs_rows",
-    "box_probability", "box_probabilities",
+    "ghk_means", "box_probability", "box_probabilities",
     "bvn_rectangle", "mvn_logpdf_rows",
 ]
 
@@ -242,16 +242,14 @@ def _upper_tail_terms(lower, upper):
 def _trunc_std_normal(lower, upper, u):
     """Inverse-cdf draw of a standard normal restricted to (lower, upper).
 
-    ``u`` are uniforms of matching shape.  Evaluated in log space on the
-    upper tail, mirroring lower-tail intervals, so intervals many standard
-    deviations out stay exact.  The draw is the truncated quantile at ``u``
-    when the interval's midpoint is positive and at ``1 - u`` otherwise.
+    ``u`` are uniforms that broadcast with the bounds; bounds shared by many
+    uniforms cost once.  Evaluated in log space on the upper tail, mirroring
+    lower-tail intervals, so intervals many standard deviations out stay
+    exact.  The draw is the truncated quantile at ``u`` when the interval's
+    midpoint is positive and at ``1 - u`` otherwise.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    u = np.asarray(u, dtype=float)
-    lower, upper, u = np.broadcast_arrays(lower, upper, u)
-
     flip, log_sf_a, ratio = _upper_tail_terms(lower, upper)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_sf = log_sf_a + np.log1p(u * (ratio - 1.0))
@@ -268,6 +266,18 @@ def log_gaussian_interval(lower, upper):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = log_sf_a + np.log1p(-ratio)
     return np.where(lower < upper, out, -np.inf)
+
+
+def _interval_moments(lower, upper):
+    """Log mass and mean of a standard normal on (lower, upper), from the
+    one tail path of ``log_gaussian_interval``, so both stay exact far out."""
+    flip, log_sf_a, ratio = _upper_tail_terms(lower, upper)
+    a, b = np.where(flip, -upper, lower), np.where(flip, -lower, upper)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_phi = -0.5 * (np.stack([a, b]) ** 2 + np.log(2.0 * np.pi))
+        mills = np.exp(log_phi - log_sf_a)
+        mean = np.clip((mills[0] - mills[1]) / (1.0 - ratio), a, b)
+        return log_sf_a + np.log1p(-ratio), np.where(flip, -mean, mean)
 
 
 def truncated_normal_rows(mean, sd, lower, upper,
@@ -374,6 +384,72 @@ def truncated_mvn_sample(mean, cov, box: Box, rng: np.random.Generator,
                                    box.lower[None, :], box.upper[None, :],
                                    rng, sweeps=sweeps)
     return out[0]
+
+
+_GHK_SHIFTS = 8
+_GHK_BLOCK = 8192  # working elements per block of rows; bounds peak memory
+
+
+def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+              rng: np.random.Generator, n_eval: int = 500
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of N(0, cov) restricted to each row's (n, d) box, with errors.
+
+    Self-normalised GHK importance sampling on Genz's separation of
+    variables, coordinates in ascending order of interval mass per row: the
+    first d - 1 are drawn in turn at the points of a lattice under 8 random
+    shifts (``n_eval // 8`` points each), the last enters as its closed-form
+    truncated mean, and a point weighs the product of its conditional
+    interval masses.  Errors are standard errors over the shifts; d = 1 is
+    exact.  Row blocks bound memory and do not change the result.
+    """
+    lower = np.atleast_2d(np.asarray(lower, dtype=float))
+    upper = np.atleast_2d(np.asarray(upper, dtype=float))
+    n, d = lower.shape
+    if n_eval < _GHK_SHIFTS:
+        raise ValueError(f"need at least {_GHK_SHIFTS} evaluations per row")
+    sd = np.sqrt(np.diag(cov))
+    if d == 1:
+        _, mean = _interval_moments(lower / sd, upper / sd)
+        return sd * mean, np.zeros((n, 1))
+
+    q = n_eval // _GHK_SHIFTS
+    # the first axis is equispaced (all of the lattice when d = 2): at d = 2
+    # that cut the largest error against the exact mean about fourfold
+    gen = np.concatenate([[1.0 / q], np.sqrt(_QMC_PRIMES[: d - 2])])
+    shifts = rng.uniform(size=(_GHK_SHIFTS, 1, d - 1))
+    lattice = np.abs(2.0 * np.modf(np.arange(1, q + 1)[:, None] * gen
+                                   + shifts)[0] - 1.0)
+    step = max(1, _GHK_BLOCK // (_GHK_SHIFTS * q))
+    order = np.argsort(log_gaussian_interval(lower / sd, upper / sd), axis=1,
+                       kind="stable")
+    means, errors = np.empty((2, n, d))
+    for perm in np.unique(order, axis=0):
+        chol = chol_spd(cov[np.ix_(perm, perm)])
+        rows = np.flatnonzero(np.all(order == perm, axis=1))
+        for r in range(0, rows.size, step):
+            idx = np.ix_(rows[r:r + step], perm)
+            e = []                      # standard draws, (row, shift, point)
+            y = np.empty((d, idx[0].size, _GHK_SHIFTS, q))
+            log_w = 0.0                 # the first interval's mass is constant
+            for i in range(d):
+                mu = sum(chol[i, j] * e[j] for j in range(i))
+                a = (lower[idx][:, i, None, None] - mu) / chol[i, i]
+                b = (upper[idx][:, i, None, None] - mu) / chol[i, i]
+                if i < d - 1:
+                    e.append(_trunc_std_normal(a, b, lattice[..., i]))
+                    log_w = log_w + (log_gaussian_interval(a, b) if i else 0.0)
+                else:
+                    log_mass, mean = _interval_moments(a, b)
+                    e.append(mean)
+                    log_w = log_w + log_mass
+                y[i] = mu + chol[i, i] * e[i]
+            w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+            # reductions along the last axis: the same order for any block
+            est = np.sum(w * y, axis=-1) / np.sum(w, axis=-1)  # d, row, shift
+            means[idx] = est.mean(axis=-1).T
+            errors[idx] = est.std(axis=-1, ddof=1).T / np.sqrt(_GHK_SHIFTS)
+    return means, errors
 
 
 # ---------------------------------------------------------------------------

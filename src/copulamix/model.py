@@ -29,7 +29,7 @@ __all__ = [
     "FAMILIES", "INDEPENDENT", "HOMOSCEDASTIC", "HETEROSCEDASTIC",
     "LOG_DENSITY_FLOOR",
     "ComponentParams", "MixtureParams", "LatentState",
-    "standardize_continuous", "latent_boxes",
+    "standardize_continuous", "latent_boxes", "conditional_block",
     "component_logpdf", "component_logpdf_rows",
     "mixture_logpdf", "mixture_logpdf_rows",
     "posterior_probs", "posterior_probs_rows", "posterior_and_logpdf_rows",
@@ -219,6 +219,19 @@ def latent_boxes(x_d: np.ndarray, component: ComponentParams
     return lo, hi
 
 
+def conditional_block(component: ComponentParams, y_c: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean (n, d) and covariance (d, d) of the discrete latent block given
+    the standardized continuous block ``y_c`` (n, c)."""
+    corr = component.correlation
+    c = component.n_continuous
+    if c == 0:
+        return np.zeros((y_c.shape[0], component.dim)), corr
+    coef = np.linalg.solve(corr[:c, :c], corr[:c, c:])
+    cond_cov = corr[c:, c:] - corr[c:, :c] @ coef
+    return y_c @ coef, 0.5 * (cond_cov + cond_cov.T)
+
+
 def component_logpdf_rows(values: np.ndarray, component: ComponentParams,
                           rng: np.random.Generator | None = None,
                           rel_tol: float = 1e-4,
@@ -237,24 +250,17 @@ def component_logpdf_rows(values: np.ndarray, component: ComponentParams,
     corr = component.correlation
 
     out = np.zeros(n)
+    y_c = standardize_continuous(values[:, :c], component)
     if c:
-        y_c = standardize_continuous(values[:, :c], component)
         out += gauss.mvn_logpdf_rows(y_c, corr[:c, :c])
         out -= sum(np.log(m.sigma) for m in component.margins[:c])
     if d == 0:
         return out, np.zeros(n, dtype=bool)
 
     lo, hi = latent_boxes(values[:, c:], component) if boxes is None else boxes
-    if c:
-        cond_mean = y_c @ np.linalg.solve(corr[:c, :c], corr[:c, c:])
-        cond_cov = corr[c:, c:] - corr[c:, :c] @ np.linalg.solve(corr[:c, :c],
-                                                                 corr[:c, c:])
-        cond_cov = 0.5 * (cond_cov + cond_cov.T)
-        lo = lo - cond_mean
-        hi = hi - cond_mean
-    else:
-        cond_cov = corr
-    prob, _ = gauss.box_probabilities(cond_cov, lo, hi, rng=rng, rel_tol=rel_tol)
+    cond_mean, cond_cov = conditional_block(component, y_c)
+    prob, _ = gauss.box_probabilities(cond_cov, lo - cond_mean, hi - cond_mean,
+                                      rng=rng, rel_tol=rel_tol)
 
     degenerate = ~(prob > 0) | ~np.isfinite(prob)
     with np.errstate(divide="ignore", invalid="ignore"):

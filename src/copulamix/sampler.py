@@ -45,8 +45,8 @@ from . import gauss, margins as mg
 from .model import (
     HETEROSCEDASTIC, HOMOSCEDASTIC, INDEPENDENT,
     ComponentParams, LatentState, MixtureParams,
-    latent_boxes, posterior_and_logpdf_rows, posterior_probs_rows,
-    standardize_continuous,
+    conditional_block, latent_boxes, posterior_and_logpdf_rows,
+    posterior_probs_rows, standardize_continuous,
 )
 from .schema import MixedDataset, check_identifiability
 
@@ -347,20 +347,11 @@ def step_latent(values: np.ndarray, params: MixtureParams, state: LatentState,
             rows = np.flatnonzero(z == k)
             if rows.size == 0:
                 continue
-            corr = comp.correlation
-            if c:
-                y_c = standardize_continuous(values[rows, :c], comp)
-                y[np.ix_(rows, np.arange(c))] = y_c
+            y_c = standardize_continuous(values[rows, :c], comp)
+            y[np.ix_(rows, np.arange(c))] = y_c
             if d:
                 lo, hi = boxes[k][0][rows], boxes[k][1][rows]
-                if c:
-                    coef = np.linalg.solve(corr[:c, :c], corr[:c, c:])
-                    cond_mean = y_c @ coef
-                    cond_cov = corr[c:, c:] - corr[c:, :c] @ coef
-                    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-                else:
-                    cond_mean = np.zeros((rows.size, d))
-                    cond_cov = corr
+                cond_mean, cond_cov = conditional_block(comp, y_c)
                 y[np.ix_(rows, np.arange(c, e))] = _refresh_discrete(
                     cond_cov, cond_mean, lo, hi, state.y[rows, c:],
                     state.z[rows] == k, rng)

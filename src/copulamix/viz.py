@@ -2,9 +2,10 @@
 
 A component's correlation matrix is spectrally decomposed into orthogonal
 latent axes; individuals are placed on those axes through their expected
-latent coordinates given the observation, and variables through their
-loadings (correlation-circle coordinates).  Everything is emitted as plain
-CSV — rendering is a consumer concern.
+latent coordinates given the observation (closed form for one discrete
+column, GHK importance sampling on a randomly shifted lattice beyond that),
+and variables through their loadings (correlation-circle coordinates).
+Everything is emitted as plain CSV — rendering is a consumer concern.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gauss
-from .model import (ComponentParams, MixtureParams, latent_boxes,
-                    posterior_probs_rows)
+from .model import (ComponentParams, MixtureParams, conditional_block,
+                    latent_boxes, posterior_probs_rows, standardize_continuous)
 from .schema import MixedDataset
 
 __all__ = [
-    "PcaMap", "component_pca", "conditional_latent_mean",
-    "conditional_latent_means", "project", "correlation_circle",
-    "scores_csv", "circle_csv", "eigen_csv",
+    "PcaMap", "component_pca", "conditional_latent_means", "project",
+    "correlation_circle", "scores_csv", "circle_csv", "eigen_csv",
 ]
 
 
@@ -64,90 +64,31 @@ def component_pca(correlation: np.ndarray, component: int = 0) -> PcaMap:
     return PcaMap(component, vals, vecs, vals / vals.sum())
 
 
-def _truncated_normal_mean(mu: np.ndarray, sd: np.ndarray,
-                           lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mean of N(mu, sd^2) truncated to (lo, hi), tail-stable."""
-    a = (lo - mu) / sd
-    b = (hi - mu) / sd
-    # ratio (phi(a) - phi(b)) / (Phi(b) - Phi(a)) in log space
-    log_mass = gauss.log_gaussian_interval(a, b)
-    def logphi(t):
-        t = np.where(np.isinf(t), 0.0, t)
-        return -0.5 * (t * t + np.log(2.0 * np.pi))
-    pa = np.where(np.isinf(a), -np.inf, logphi(a))
-    pb = np.where(np.isinf(b), -np.inf, logphi(b))
-    hi_term = np.exp(pa - log_mass) - np.exp(pb - log_mass)
-    return mu + sd * hi_term
-
-
 def conditional_latent_means(values: np.ndarray, component: ComponentParams,
                              rng: np.random.Generator,
                              n_mc: int = 500
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Expected latent coordinates given each row and the component.
 
-    Continuous coordinates are exact; discrete ones are the mean of the
-    conditional truncated normal over the latent box — closed form when the
-    discrete block is one-dimensional, Monte Carlo (``n_mc`` Gibbs draws)
-    otherwise.  Returns (means, mc_errors) with zero error on exact
-    coordinates.
+    Continuous coordinates are exact.  Discrete ones are the mean of the
+    conditional truncated normal over the latent box, from
+    ``gauss.ghk_means`` with ``n_mc`` integrand evaluations per row (lattice
+    points times 8 random shifts): closed form when the discrete block is
+    one-dimensional, importance sampling otherwise.  Returns (means,
+    standard errors over the shifts), with zero error on exact coordinates.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    n = values.shape[0]
     c, d = component.n_continuous, component.n_discrete
-    e = component.dim
-    corr = component.correlation
-    out = np.zeros((n, e))
-    err = np.zeros((n, e))
-
-    if c:
-        mu = np.array([m.mu for m in component.margins[:c]])
-        sigma = np.array([m.sigma for m in component.margins[:c]])
-        out[:, :c] = (values[:, :c] - mu) / sigma
-    if d == 0:
-        return out, err
-
-    lo, hi = latent_boxes(values[:, c:], component)
-    if c:
-        coef = np.linalg.solve(corr[:c, :c], corr[:c, c:])
-        cond_mean = out[:, :c] @ coef
-        cond_cov = corr[c:, c:] - corr[c:, :c] @ coef
-        cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    else:
-        cond_mean = np.zeros((n, d))
-        cond_cov = corr
-
-    if d == 1:
-        sd = np.sqrt(cond_cov[0, 0])
-        out[:, c] = _truncated_normal_mean(cond_mean[:, 0],
-                                           np.full(n, sd),
-                                           lo[:, 0], hi[:, 0])
-        return out, err
-
-    draws = np.zeros((n, d))
-    sq = np.zeros((n, d))
-    sample = None
-    coefficients = gauss.gibbs_coefficients(cond_cov)
-    for _ in range(n_mc):
-        sample = gauss.truncated_mvn_gibbs_rows(cond_cov, cond_mean, lo, hi,
-                                                rng, sweeps=2, init=sample,
-                                                coefficients=coefficients)
-        draws += sample
-        sq += sample * sample
-    mean = draws / n_mc
-    var = np.maximum(sq / n_mc - mean * mean, 0.0)
-    out[:, c:] = mean
-    err[:, c:] = np.sqrt(var / n_mc)
+    y_c = standardize_continuous(values[:, :c], component)
+    out, err = np.zeros((2, values.shape[0], component.dim))
+    out[:, :c] = y_c
+    if d:
+        lo, hi = latent_boxes(values[:, c:], component)
+        cond_mean, cond_cov = conditional_block(component, y_c)
+        mean, err[:, c:] = gauss.ghk_means(cond_cov, lo - cond_mean,
+                                           hi - cond_mean, rng, n_mc)
+        out[:, c:] = cond_mean + mean
     return out, err
-
-
-def conditional_latent_mean(x: np.ndarray, component: ComponentParams,
-                            rng: np.random.Generator, n_mc: int = 500
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-row convenience wrapper around conditional_latent_means."""
-    mean, err = conditional_latent_means(np.asarray(x, float)[None, :],
-                                         component, rng, n_mc=n_mc)
-    return mean[0], err[0]
 
 
 def project(dataset: MixedDataset, params: MixtureParams, k: int,

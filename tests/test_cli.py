@@ -211,6 +211,9 @@ class TestVisualize:
                            "--axes", "1,9"]) == cli.EXIT_USAGE
         assert run(base + ["--component", "1",
                            "--axes", "potato"]) == cli.EXIT_USAGE
+        # fewer evaluations than lattice shifts
+        assert run(base + ["--component", "1",
+                           "--mc-draws", "7"]) == cli.EXIT_USAGE
 
 
 class TestEval:

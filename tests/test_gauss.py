@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import ndtr
 
-from copulamix import gauss
+from copulamix import gauss, margins as mg, model as mx
 
 
 def bvn_reference(a, b, rho):
@@ -368,3 +368,140 @@ class TestLogGaussianInterval:
     def test_empty_interval(self):
         assert gauss.log_gaussian_interval(np.array([1.0]),
                                            np.array([1.0]))[0] == -np.inf
+
+
+def tallis_bivariate(cov, lower, upper):
+    """E[Y | lower < Y < upper] for Y ~ N(0, cov) in two dimensions, by the
+    Tallis (1961) first-moment formula: each coordinate's density on the box
+    faces times the other coordinate's conditional interval probability,
+    over the box probability from scipy's bivariate normal cdf.  Returns
+    (means, box probabilities)."""
+    sd = np.sqrt(np.diag(cov))
+    rho = cov[0, 1] / (sd[0] * sd[1])
+    s = np.sqrt(1.0 - rho * rho)
+    a, b = lower / sd, upper / sd
+
+    def face(x, lo, hi):
+        with np.errstate(invalid="ignore"):
+            v = stats.norm.pdf(x) * (ndtr((hi - rho * x) / s)
+                                     - ndtr((lo - rho * x) / s))
+        return np.where(np.isinf(x), 0.0, v)
+
+    f0 = face(a[:, 0], a[:, 1], b[:, 1]) - face(b[:, 0], a[:, 1], b[:, 1])
+    f1 = face(a[:, 1], a[:, 0], b[:, 0]) - face(b[:, 1], a[:, 0], b[:, 0])
+    prob = np.array([stats.multivariate_normal.cdf(
+        hi, cov=[[1.0, rho], [rho, 1.0]], lower_limit=lo)
+        for lo, hi in zip(a, b)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.column_stack([f0 + rho * f1, rho * f0 + f1]) / prob[:, None]
+    return mean * sd, prob
+
+
+def rejection_means(cov, lower, upper, rng, n_draws=200_000):
+    """Truncated means by rejection from N(0, cov), with standard errors."""
+    chol = np.linalg.cholesky(cov)
+    means, errors = [], []
+    for lo, hi in zip(lower, upper):
+        y = rng.standard_normal((n_draws, len(lo))) @ chol.T
+        y = y[np.all((y > lo) & (y < hi), axis=1)]
+        means.append(y.mean(axis=0))
+        errors.append(y.std(axis=0) / np.sqrt(len(y)))
+    return np.array(means), np.array(errors)
+
+
+def example_boxes(component_index, reverse=False):
+    """Discrete-block boxes, centred on their conditional means, of rows
+    from a Gaussian/Poisson/binary mixture scored under one component (the
+    other component's rows sit far out), with the conditional covariance."""
+    corr1 = np.array([[1.0, -0.4, 0.4], [-0.4, 1.0, 0.4], [0.4, 0.4, 1.0]])
+    corr2 = np.array([[1.0, 0.8, 0.1], [0.8, 1.0, 0.1], [0.1, 0.1, 1.0]])
+    params = mx.MixtureParams(np.array([0.5, 0.5]), (
+        mx.ComponentParams(corr1, (mg.GaussianMargin(-2.0, 1.0),
+                                   mg.PoissonMargin(5.0),
+                                   mg.OrdinalMargin([0.5, 0.5]))),
+        mx.ComponentParams(corr2, (mg.GaussianMargin(2.0, 1.0),
+                                   mg.PoissonMargin(15.0),
+                                   mg.OrdinalMargin([0.5, 0.5])))))
+    ds, _, _ = mx.generate(400, params, np.random.default_rng(20))
+    comp = params.components[component_index]
+    mean, cov = mx.conditional_block(
+        comp, mx.standardize_continuous(ds.values[:, :1], comp))
+    lo, hi = mx.latent_boxes(ds.values[:, 1:], comp)
+    cols = [1, 0] if reverse else [0, 1]
+    return cov[np.ix_(cols, cols)], (lo - mean)[:, cols], (hi - mean)[:, cols]
+
+
+class TestGhkMeans:
+    def test_one_dimension_is_exact(self):
+        lo = np.array([[a] for a, _ in KERNEL_INTERVALS])
+        hi = np.array([[b] for _, b in KERNEL_INTERVALS])
+        sd = 1.5
+        mean, err = gauss.ghk_means(np.array([[sd * sd]]), sd * lo, sd * hi,
+                                    np.random.default_rng(0))
+        expected = sd * stats.truncnorm(lo[:, 0], hi[:, 0]).mean()
+        np.testing.assert_allclose(mean[:, 0], expected, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(err, 0.0)
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_bivariate_matches_tallis(self, component, reverse):
+        # column order must not matter: each row draws its most
+        # constrained coordinate and takes the other in closed form
+        cov, lo, hi = example_boxes(component, reverse)
+        expected, prob = tallis_bivariate(cov, lo, hi)
+        mean, err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(1),
+                                    n_eval=500)
+        rows = prob > 1e-6
+        assert rows.sum() > 200
+        assert np.max(np.abs(mean - expected)[rows]) <= 5e-3
+        z = np.abs(mean - expected)[rows] / err[rows]
+        assert np.mean(np.any(z > 4, axis=1)) <= 0.02
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_matches_rejection_reference(self, dim):
+        rng = np.random.default_rng(dim)
+        cov = gauss.random_correlation_matrix(dim, rng)
+        lo = rng.uniform(-1.5, 0.5, size=(12, dim))
+        hi = lo + rng.uniform(0.8, 2.5, size=(12, dim))
+        lo[rng.random((12, dim)) < 0.3] = -np.inf
+        hi[rng.random((12, dim)) < 0.3] = np.inf
+        expected, ref_err = rejection_means(cov, lo, hi,
+                                            np.random.default_rng(99))
+        mean, err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(2),
+                                    n_eval=2000)
+        assert np.all((mean > lo) & (mean < hi))
+        tol = 4.5 * np.sqrt(err ** 2 + ref_err ** 2)
+        assert np.all(np.abs(mean - expected) <= tol)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_far_tail_boxes(self, dim):
+        # boxes 6 to 12 standard deviations out, where rectangle
+        # probabilities underflow: finite, inside the box, and stable
+        # against a run with four times the budget.  An error from 8 shifts
+        # has heavy tails this far out, hence 5 standard errors, not 4
+        cov = 0.5 * np.eye(dim) + 0.5
+        lo = np.array([[6.0] * dim, [-12.0] * dim, [6.5, -np.inf, 7.0][:dim],
+                       [-np.inf, 9.0, -1.0][:dim]])
+        hi = np.array([[7.0] * dim, [-11.0] * dim, [np.inf, -8.0, 9.0][:dim],
+                       [-6.0, 10.0, 1.0][:dim]])
+        mean, err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(3))
+        big, big_err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(4),
+                                       n_eval=2000)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(err))
+        assert np.all((mean >= lo) & (mean <= hi))
+        tol = 5 * np.sqrt(err ** 2 + big_err ** 2) + 1e-9
+        assert np.all(np.abs(mean - big) <= tol)
+
+    def test_blocks_do_not_change_result(self, monkeypatch):
+        cov, lo, hi = example_boxes(0)
+        mean, err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(5))
+        monkeypatch.setattr(gauss, "_GHK_BLOCK", 100)
+        small, small_err = gauss.ghk_means(cov, lo, hi,
+                                           np.random.default_rng(5))
+        np.testing.assert_array_equal(small, mean)
+        np.testing.assert_array_equal(small_err, err)
+
+    def test_needs_one_point_per_shift(self):
+        with pytest.raises(ValueError):
+            gauss.ghk_means(np.eye(2), -np.ones((1, 2)), np.ones((1, 2)),
+                            np.random.default_rng(6), n_eval=7)
