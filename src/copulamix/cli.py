@@ -75,8 +75,7 @@ def _chain_config(args, g: int, family: str,
     try:
         return sp.ChainConfig(
             g=g, family=family, iterations=args.iters, burn_in=args.burnin,
-            seed=args.seed, n_chains=args.chains,
-            mh_latent_threshold=args.mh_threshold, keep_draws=keep_draws,
+            seed=args.seed, n_chains=args.chains, keep_draws=keep_draws,
             thin=args.thin)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -105,8 +104,7 @@ def cmd_fit(args) -> int:
         "loglik": result.loglik,
         "chain_logliks": list(result.chain_logliks),
         "chain_index": result.chain_index,
-        "accept_latent": (None if np.isnan(result.accept_latent)
-                          else result.accept_latent),
+        "accept_latent": result.accept_latent,
         "accept_margins": result.accept_margins.tolist(),
         "wall_time_s": result.wall_time,
         "messages": list(result.messages),
@@ -232,7 +230,7 @@ def cmd_eval(args) -> int:
     out = _ensure_outdir(args.out)
     config = sp.ChainConfig(
         g=2, family=args.family, iterations=args.iters, burn_in=args.burnin,
-        n_chains=args.chains, mh_latent_threshold=args.mh_threshold)
+        n_chains=args.chains)
     _note(f"study {args.study}: sizes {sizes}, {args.replicates} replicates")
     rows = ev.run_simulation_study(args.study, sizes, args.replicates,
                                    config=config, master_seed=args.seed)
@@ -249,9 +247,6 @@ def _add_sampler_flags(parser) -> None:
     parser.add_argument("--chains", type=int, default=10,
                         help="independent chains (default 10)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mh-threshold", type=int, default=6,
-                        help="discrete dimension above which the latent "
-                             "update switches to Metropolis-Hastings")
     parser.add_argument("--thin", type=int, default=1)
 
 
@@ -262,7 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "copula mixtures")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="fit one mixture model")
+    p = sub.add_parser(
+        "fit", help="fit one mixture model",
+        description="Fit one mixture by Metropolis-within-Gibbs chains.  "
+                    "acceptance.json records accept_latent, the share of "
+                    "rows whose latent move was accepted over all sweeps.")
     p.add_argument("data")
     p.add_argument("schema")
     p.add_argument("--g", type=int, required=True)

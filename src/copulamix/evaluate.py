@@ -364,8 +364,7 @@ def run_simulation_study(study: str, sample_sizes, replicates: int,
             base = config or sp.ChainConfig(g=2)
             cfg = sp.ChainConfig(
                 g=2, family=base.family, iterations=base.iterations,
-                burn_in=base.burn_in, seed=cfg_seed, n_chains=base.n_chains,
-                mh_latent_threshold=base.mh_latent_threshold)
+                burn_in=base.burn_in, seed=cfg_seed, n_chains=base.n_chains)
             try:
                 if study == "example1":
                     truth = example1_params()

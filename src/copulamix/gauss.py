@@ -28,7 +28,7 @@ __all__ = [
     "truncated_univariate_normal_sample", "truncated_normal_rows",
     "log_gaussian_interval",
     "truncated_mvn_sample", "gibbs_coefficients", "truncated_mvn_gibbs_rows",
-    "ghk_means", "box_probability", "box_probabilities",
+    "ghk_rows", "ghk_means", "box_probability", "box_probabilities",
     "bvn_rectangle", "mvn_logpdf_rows",
 ]
 
@@ -248,13 +248,20 @@ def _trunc_std_normal(lower, upper, u):
     exact.  The draw is the truncated quantile at ``u`` when the interval's
     midpoint is positive and at ``1 - u`` otherwise.
     """
+    return _trunc_std_normal_mass(lower, upper, u)[0]
+
+
+def _trunc_std_normal_mass(lower, upper, u):
+    """``_trunc_std_normal`` and ``log_gaussian_interval`` of the bounds,
+    from one evaluation of the tail terms."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     flip, log_sf_a, ratio = _upper_tail_terms(lower, upper)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_sf = log_sf_a + np.log1p(u * (ratio - 1.0))
         x = ndtri_exp(np.minimum(log_sf, 0.0))
-    return np.clip(np.where(flip, x, -x), lower, upper)
+        log_mass = np.where(lower < upper, log_sf_a + np.log1p(-ratio), -np.inf)
+    return np.clip(np.where(flip, x, -x), lower, upper), log_mass
 
 
 def log_gaussian_interval(lower, upper):
@@ -386,6 +393,42 @@ def truncated_mvn_sample(mean, cov, box: Box, rng: np.random.Generator,
     return out[0]
 
 
+def ghk_rows(chol: np.ndarray, mean: np.ndarray, lower: np.ndarray,
+             upper: np.ndarray, rng: np.random.Generator | None = None,
+             y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """GHK sequential draw, or score, of N(mean, chol chol^T) in a box.
+
+    Coordinates are taken in column order: each is drawn from its normal
+    conditional on the ones before it, truncated to its interval, and the
+    log of that conditional interval mass is added to the row's log weight
+    log w.  The draw's density is the box-truncated normal density times
+    P / w, where P is the box probability.  ``mean``, ``lower`` and
+    ``upper`` are (n, d) and ``chol`` is the (d, d) lower Cholesky factor.
+    With ``y`` given nothing is drawn: its log weight is returned, -inf
+    for a row outside its box.
+    """
+    n, d = lower.shape
+    draw = y is None
+    y = np.empty((n, d)) if draw else np.asarray(y, dtype=float)
+    e = np.empty((n, d))
+    log_w = np.zeros(n)
+    for i in range(d):
+        mu = mean[:, i] + e[:, :i] @ chol[i, :i]
+        a = (lower[:, i] - mu) / chol[i, i]
+        b = (upper[:, i] - mu) / chol[i, i]
+        if draw:
+            e[:, i], log_mass = _trunc_std_normal_mass(a, b, rng.random(n))
+            y[:, i] = mu + chol[i, i] * e[:, i]
+        else:
+            e[:, i] = (y[:, i] - mu) / chol[i, i]
+            log_mass = log_gaussian_interval(a, b)
+        log_w += log_mass
+    if not draw:
+        inside = np.all((y >= lower) & (y <= upper), axis=1)
+        log_w = np.where(inside, log_w, -np.inf)
+    return y, log_w
+
+
 _GHK_SHIFTS = 8
 _GHK_BLOCK = 8192  # working elements per block of rows; bounds peak memory
 
@@ -437,8 +480,10 @@ def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                 a = (lower[idx][:, i, None, None] - mu) / chol[i, i]
                 b = (upper[idx][:, i, None, None] - mu) / chol[i, i]
                 if i < d - 1:
-                    e.append(_trunc_std_normal(a, b, lattice[..., i]))
-                    log_w = log_w + (log_gaussian_interval(a, b) if i else 0.0)
+                    draw, log_mass = _trunc_std_normal_mass(a, b,
+                                                            lattice[..., i])
+                    e.append(draw)
+                    log_w = log_w + (log_mass if i else 0.0)
                 else:
                     log_mass, mean = _interval_moments(a, b)
                     e.append(mean)

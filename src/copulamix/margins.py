@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, pdtr
+from scipy.special import gammaln, ndtr, ndtri, pdtr, pdtrc
 
 __all__ = [
     "GaussianMargin", "PoissonMargin", "OrdinalMargin", "MarginParams",
@@ -176,12 +176,8 @@ def latent_bounds(x, margin: MarginParams) -> tuple[float, float]:
     The standard normal measure of the interval equals the margin mass at x;
     the first support point opens at -inf and the last closes at +inf.
     """
-    if not is_discrete(margin):
-        raise SupportError("latent bounds are defined for discrete margins only")
-    _check_support(x, margin)
-    lo = ndtri(cdf_array(np.asarray(x) - 1.0, margin))
-    hi = ndtri(cdf_array(np.asarray(x), margin))
-    return float(np.ravel(lo)[0]), float(np.ravel(hi)[0])
+    lo, hi = latent_bounds_arrays(np.ravel(x)[:1], margin)
+    return float(lo[0]), float(hi[0])
 
 
 def latent_bounds_arrays(x, margin: MarginParams) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +185,8 @@ def latent_bounds_arrays(x, margin: MarginParams) -> tuple[np.ndarray, np.ndarra
 
     The cdf and its normal quantile are evaluated once per distinct support
     value: the observed counts of a Poisson margin, the ``levels + 1``
-    cutpoints of an ordinal one.
+    cutpoints of an ordinal one.  Poisson scores above the median come from
+    the upper tail, so a large count keeps a finite, non-empty interval.
     """
     if not is_discrete(margin):
         raise SupportError("latent bounds are defined for discrete margins only")
@@ -198,10 +195,12 @@ def latent_bounds_arrays(x, margin: MarginParams) -> tuple[np.ndarray, np.ndarra
     if isinstance(margin, PoissonMargin):
         values, index = np.unique(x, return_inverse=True)
         index = index.reshape(x.shape)
-        with np.errstate(divide="ignore"):
-            lo = ndtri(cdf_array(values - 1.0, margin))
-            hi = ndtri(cdf_array(values, margin))
-        return lo[index], hi[index]
+        k = np.concatenate([values - 1.0, values])
+        cdf = cdf_array(k, margin)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = np.where(cdf > 0.5, -ndtri(pdtrc(k, margin.rate)),
+                              ndtri(cdf))
+        return scores[:values.size][index], scores[values.size:][index]
     with np.errstate(divide="ignore"):
         cuts = ndtri(cdf_array(np.arange(margin.levels + 1.0), margin))
     level = x.astype(int)

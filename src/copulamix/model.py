@@ -234,15 +234,12 @@ def conditional_block(component: ComponentParams, y_c: np.ndarray
 
 def component_logpdf_rows(values: np.ndarray, component: ComponentParams,
                           rng: np.random.Generator | None = None,
-                          rel_tol: float = 1e-4,
-                          boxes: tuple[np.ndarray, np.ndarray] | None = None
+                          rel_tol: float = 1e-4
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Component log density for every row of ``values``.
 
     Returns (log densities, degenerate flags); a flagged row had its
     rectangle probability underflow and carries the log-density floor.
-    ``boxes`` is ``latent_boxes`` of the rows' discrete block when the
-    caller already has it.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n = values.shape[0]
@@ -257,7 +254,7 @@ def component_logpdf_rows(values: np.ndarray, component: ComponentParams,
     if d == 0:
         return out, np.zeros(n, dtype=bool)
 
-    lo, hi = latent_boxes(values[:, c:], component) if boxes is None else boxes
+    lo, hi = latent_boxes(values[:, c:], component)
     cond_mean, cond_cov = conditional_block(component, y_c)
     prob, _ = gauss.box_probabilities(cond_cov, lo - cond_mean, hi - cond_mean,
                                       rng=rng, rel_tol=rel_tol)
@@ -280,12 +277,10 @@ def component_logpdf(x: np.ndarray, component: ComponentParams,
 
 
 def _component_log_matrix(values: np.ndarray, params: MixtureParams,
-                          rng: np.random.Generator | None, rel_tol: float,
-                          boxes: list | None = None) -> np.ndarray:
-    boxes = boxes or [None] * params.g
-    cols = [component_logpdf_rows(values, comp, rng=rng, rel_tol=rel_tol,
-                                  boxes=box)[0]
-            for comp, box in zip(params.components, boxes)]
+                          rng: np.random.Generator | None, rel_tol: float
+                          ) -> np.ndarray:
+    cols = [component_logpdf_rows(values, comp, rng=rng, rel_tol=rel_tol)[0]
+            for comp in params.components]
     return np.column_stack(cols)
 
 
@@ -307,19 +302,17 @@ def mixture_logpdf(x: np.ndarray, params: MixtureParams,
 
 def posterior_and_logpdf_rows(values: np.ndarray, params: MixtureParams,
                               rng: np.random.Generator | None = None,
-                              rel_tol: float = 1e-4, boxes: list | None = None
+                              rel_tol: float = 1e-4
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Posterior membership probabilities, degeneracy flags and mixture log
     density per row, from one evaluation of the component densities.
 
     The probabilities are an (n, g) simplex matrix; a row where every
     component underflowed is flagged and gets the uniform vector.  The log
-    density equals ``mixture_logpdf_rows``.  ``boxes`` holds each
-    component's ``latent_boxes`` of the rows when the caller already has
-    them.
+    density equals ``mixture_logpdf_rows``.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    logs = _component_log_matrix(values, params, rng, rel_tol, boxes)
+    logs = _component_log_matrix(values, params, rng, rel_tol)
     degenerate = np.all(logs <= LOG_DENSITY_FLOOR, axis=1)
     logs = logs + np.log(params.proportions)
     log_density = logsumexp(logs, axis=1, keepdims=True)
@@ -331,16 +324,15 @@ def posterior_and_logpdf_rows(values: np.ndarray, params: MixtureParams,
 
 def posterior_probs_rows(values: np.ndarray, params: MixtureParams,
                          rng: np.random.Generator | None = None,
-                         rel_tol: float = 1e-4, boxes: list | None = None
+                         rel_tol: float = 1e-4
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior component membership probabilities per row.
 
     Returns an (n, g) simplex matrix and per-row degeneracy flags; a row
-    where every component underflowed gets the uniform vector.  ``boxes``
-    is as in ``posterior_and_logpdf_rows``.
+    where every component underflowed gets the uniform vector.
     """
     t, degenerate, _ = posterior_and_logpdf_rows(values, params, rng,
-                                                 rel_tol, boxes)
+                                                 rel_tol)
     return t, degenerate
 
 

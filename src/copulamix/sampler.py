@@ -3,17 +3,14 @@
 One iteration performs, in order: a latent (labels + Gaussian coordinates)
 update, a per-(component, column) margin update that also refreshes the
 latent column, a Dirichlet proportion draw and an inverse-Wishart
-correlation draw.  The latent update is exact (multinomial labels plus a
-truncated multivariate normal) when the discrete dimension is small and a
-single Metropolis-Hastings move with an independence proposal otherwise.
-In the exact update the truncated normal is drawn by Gibbs sweeps: a row
-that keeps its label takes one sweep from its current coordinates, which
-already follow the target because the label is drawn independently of
-them; a relabelled row takes ten sweeps from a cold start; and when the
-conditional covariance is diagonal (always so under the independent
-family) every row takes one sweep, which is then an exact draw.  Each
-component's latent boxes are computed once per update and shared by the
-label probabilities and the coordinate draws.  The margin update is
+correlation draw.  The latent update is one independence
+Metropolis-Hastings move per row, for every discrete dimension.  Its
+proposal draws the label from the continuous block's density times the
+product of the discrete coordinates' one-dimensional interval masses, and
+the discrete coordinates by the GHK sequential sampler; the acceptance
+ratio is the ratio of GHK weight to that product, so no rectangle
+probability is computed inside a sweep and the move is exact.  Under the
+locally independent family every proposal is accepted.  The margin update is
 always a Metropolis-Hastings move whose proposal is the conjugate posterior
 computed as if the correlation matrix were the identity, so under the
 locally independent family the proposal coincides with the target and
@@ -46,7 +43,8 @@ from .model import (
     HETEROSCEDASTIC, HOMOSCEDASTIC, INDEPENDENT,
     ComponentParams, LatentState, MixtureParams,
     conditional_block, latent_boxes, posterior_and_logpdf_rows,
-    posterior_probs_rows, standardize_continuous,
+    posterior_probs_rows,  # noqa: F401 -- perfbench's tracer test wraps it here
+    standardize_continuous,
 )
 from .schema import MixedDataset, check_identifiability
 
@@ -67,9 +65,7 @@ class ChainConfig:
     """Sampler settings.
 
     ``iterations`` counts the stored post-burn-in sweeps, so a chain runs
-    ``burn_in + iterations`` sweeps in total.  ``mh_latent_threshold`` is the
-    discrete dimension above which the exact latent draw is replaced by a
-    Metropolis-Hastings move.
+    ``burn_in + iterations`` sweeps in total.
     """
 
     g: int
@@ -78,7 +74,6 @@ class ChainConfig:
     burn_in: int = 100
     seed: int = 0
     n_chains: int = 10
-    mh_latent_threshold: int = 6
     thin: int = 1
     keep_draws: bool = False
 
@@ -99,10 +94,10 @@ class FitResult:
 
     ``params`` is the posterior-mean estimate, ``labels`` the maximum a
     posteriori partition under it (0-based), ``loglik`` the observed
-    log-likelihood at ``params``.  ``accept_latent`` is the
-    Metropolis-Hastings acceptance rate of the latent move (``nan`` when the
-    exact path was used throughout); ``accept_margins`` is a (g, e) matrix
-    of margin-move acceptance rates.
+    log-likelihood at ``params``.  ``accept_latent`` is the share of rows
+    whose latent move was accepted, over all sweeps (1 under the independent
+    family); ``accept_margins`` is a (g, e) matrix of margin-move acceptance
+    rates.
     """
 
     params: MixtureParams
@@ -221,39 +216,58 @@ def init_local_independent(dataset: MixedDataset, g: int,
 
 
 # ---------------------------------------------------------------------------
-# latent structure helpers
+# step (a): labels and latent coordinates
 
-def _all_boxes(values: np.ndarray, params: MixtureParams) -> list:
-    """Each component's latent boxes for every row, computed once and then
-    shared by the label probabilities and the coordinate draws."""
+def _latent_proposal(values: np.ndarray, params: MixtureParams,
+                     rng: np.random.Generator):
+    """Draw (z', y') for every row independently of the current state.
+
+    z' is drawn with probability proportional to pi_k f_k(x_c) P_k, where
+    f_k is the continuous block's density and P_k the product of the
+    discrete coordinates' marginal interval masses; y' is the GHK draw
+    given z'.  Returns the proposal, each row's log(w_z'(y') / P_z'), and
+    per component (continuous latent block, conditional mean, Cholesky
+    factor, box, log P) for scoring the current state.
+    """
+    n = values.shape[0]
     c = params.n_continuous
-    return [latent_boxes(values[:, c:], comp) for comp in params.components]
+    parts = []
+    log_p = np.empty((n, params.g))
+    for k, comp in enumerate(params.components):
+        y_c = standardize_continuous(values[:, :c], comp)
+        lo, hi = latent_boxes(values[:, c:], comp)
+        mean, cov = conditional_block(comp, y_c)
+        sd = np.sqrt(np.diag(cov))
+        log_phat = np.zeros(n)
+        for j in range(sd.size):
+            log_phat += gauss.log_gaussian_interval(
+                (lo[:, j] - mean[:, j]) / sd[j], (hi[:, j] - mean[:, j]) / sd[j])
+        chol = gauss.chol_spd(cov) if sd.size else cov
+        parts.append((y_c, mean, chol, lo, hi, log_phat))
+        log_p[:, k] = (np.log(params.proportions[k]) + log_phat
+                       + gauss.mvn_logpdf_rows(y_c, comp.correlation[:c, :c])
+                       - sum(np.log(m.sigma) for m in comp.margins[:c]))
+    # a row with no component of positive weight (every box empty) takes a
+    # uniform label; its proposal has log weight -inf and is not accepted
+    log_p[~np.isfinite(log_p.max(axis=1))] = 0.0
+    probs = np.exp(log_p - log_p.max(axis=1, keepdims=True))
+    z = _categorical_rows(probs / probs.sum(axis=1, keepdims=True), rng)
+    y = np.empty((n, params.dim))
+    log_ratio = np.empty(n)
+    for k, (y_c, mean, chol, lo, hi, log_phat) in enumerate(parts):
+        rows = np.flatnonzero(z == k)
+        y[rows, :c] = y_c[rows]
+        y[rows, c:], log_w = gauss.ghk_rows(chol, mean[rows], lo[rows],
+                                            hi[rows], rng)
+        log_ratio[rows] = log_w - log_phat[rows]
+    return LatentState(y, z), log_ratio, parts
 
 
 def initial_latent_state(values: np.ndarray, params: MixtureParams,
                          rng: np.random.Generator) -> LatentState:
-    """Draw a latent state consistent with the parameters: labels from the
-    posterior, continuous coordinates deterministic, discrete coordinates
-    from independent truncated standard normals inside their intervals."""
-    n = values.shape[0]
-    c = params.n_continuous
-    e = params.dim
-    boxes = _all_boxes(values, params)
-    t, _ = posterior_probs_rows(values, params, rng=rng, boxes=boxes)
-    z = _categorical_rows(t, rng)
-    y = np.empty((n, e))
-    for k, comp in enumerate(params.components):
-        rows = np.flatnonzero(z == k)
-        if rows.size == 0:
-            continue
-        if c:
-            y[np.ix_(rows, np.arange(c))] = standardize_continuous(
-                values[rows, :c], comp)
-        if e > c:
-            lo, hi = boxes[k][0][rows], boxes[k][1][rows]
-            y[np.ix_(rows, np.arange(c, e))] = gauss.truncated_normal_rows(
-                np.zeros_like(lo), np.ones_like(lo), lo, hi, rng)
-    return LatentState(y, z)
+    """A latent state consistent with the parameters: one proposal of the
+    latent move, accepted outright."""
+    return _latent_proposal(values, params, rng)[0]
 
 
 def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -261,135 +275,34 @@ def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
 
 
-# ---------------------------------------------------------------------------
-# step (a): labels and latent coordinates
-
-def _log_q1(values: np.ndarray, params: MixtureParams, y: np.ndarray,
-            z: np.ndarray) -> np.ndarray:
-    """Log instrumental density of the latent proposal (up to the constant
-    label factor): independent standard normal coordinates over the discrete
-    block, divided by the margin probabilities."""
-    n = values.shape[0]
-    c = params.n_continuous
-    e = params.dim
-    out = np.zeros(n)
-    for k, comp in enumerate(params.components):
-        rows = np.flatnonzero(z == k)
-        if rows.size == 0:
-            continue
-        acc = np.zeros(rows.size)
-        for j in range(c, e):
-            yd = y[rows, j]
-            acc += -0.5 * (yd * yd + np.log(2.0 * np.pi))
-            acc -= mg.logpdf_array(values[rows, j], comp.margins[j], clip=True)
-        out[rows] = acc
-    return out
-
-
-def _refresh_discrete(cond_cov: np.ndarray, cond_mean: np.ndarray,
-                      lo: np.ndarray, hi: np.ndarray, y_old: np.ndarray,
-                      kept: np.ndarray, rng: np.random.Generator
-                      ) -> np.ndarray:
-    """Discrete latent coordinates of the rows just given one component.
-
-    The new label z' is drawn from p(z | x, theta) independently of y, so on
-    the event z' = z the old y already follows p(y | z', x, theta).  A
-    kernel that leaves that law invariant, such as one Gibbs sweep, keeps it
-    there; these ``kept`` rows take one sweep from ``y_old``.  The other
-    rows take ten sweeps from a cold start.  With a diagonal conditional
-    covariance the coordinates are independent inside the box and one sweep
-    is an exact draw from any start, so every row takes one.  A sweep
-    redraws every coordinate inside its box, so the result is valid even
-    when ``y_old`` is not.
-    """
-    if not np.any(cond_cov - np.diag(np.diag(cond_cov))):
-        return gauss.truncated_mvn_gibbs_rows(cond_cov, cond_mean, lo, hi, rng,
-                                              sweeps=1, init=y_old)
-    coefficients = gauss.gibbs_coefficients(cond_cov)
-    out = np.empty_like(cond_mean)
-    if np.any(kept):
-        out[kept] = gauss.truncated_mvn_gibbs_rows(
-            cond_cov, cond_mean[kept], lo[kept], hi[kept], rng, sweeps=1,
-            init=y_old[kept], coefficients=coefficients)
-    cold = ~kept
-    if np.any(cold):
-        out[cold] = gauss.truncated_mvn_gibbs_rows(
-            cond_cov, cond_mean[cold], lo[cold], hi[cold], rng, sweeps=10,
-            coefficients=coefficients)
-    return out
-
-
 def step_latent(values: np.ndarray, params: MixtureParams, state: LatentState,
-                rng: np.random.Generator, mh_threshold: int = 6
-                ) -> tuple[LatentState, int, int]:
-    """One update of (z, y) given the parameters.
+                rng: np.random.Generator) -> tuple[LatentState, int, int]:
+    """One independence Metropolis-Hastings move of (z, y) per row.
 
-    Exact path when the discrete dimension is at most ``mh_threshold``:
-    labels from their posterior, then the discrete coordinates by Gibbs
-    sweeps of their truncated conditional normal.  A row that keeps its
-    label takes one sweep started from its current coordinates, a relabelled
-    row ten sweeps from a cold start.  Otherwise one Metropolis-Hastings
-    move per row with an independence proposal (uniform label, independent
-    truncated normal coordinates).  Returns the new state plus (accepted,
-    proposed) counts for the move.
+    The target is pi_z f_z(x_c) phi_z(y | y_c) 1[y in box_z(x)].  The
+    proposal (z', y') comes from ``_latent_proposal`` and does not depend
+    on the current state; its importance weight target / proposal is
+    proportional to w_z(y) / P_z, so the move accepts with probability
+    min(1, [w_z'(y') / P_z'] / [w_z(y) / P_z]) (Tierney 1994).  P enters
+    the proposal only, so the move leaves the exact posterior invariant
+    for any positive P.  A current y outside its box has weight 0 and
+    always moves.  Under the independent family w = P and every proposal
+    is accepted, which is then an exact draw.  A rejected row keeps its
+    state.  Returns the new state plus (accepted, proposed) counts.
     """
-    n = values.shape[0]
     c = params.n_continuous
-    e = params.dim
-    d = e - c
-
-    if d <= mh_threshold:
-        boxes = _all_boxes(values, params)
-        t, _ = posterior_probs_rows(values, params, rng=rng, boxes=boxes)
-        z = _categorical_rows(t, rng)
-        y = np.array(state.y)
-        for k, comp in enumerate(params.components):
-            rows = np.flatnonzero(z == k)
-            if rows.size == 0:
-                continue
-            y_c = standardize_continuous(values[rows, :c], comp)
-            y[np.ix_(rows, np.arange(c))] = y_c
-            if d:
-                lo, hi = boxes[k][0][rows], boxes[k][1][rows]
-                cond_mean, cond_cov = conditional_block(comp, y_c)
-                y[np.ix_(rows, np.arange(c, e))] = _refresh_discrete(
-                    cond_cov, cond_mean, lo, hi, state.y[rows, c:],
-                    state.z[rows] == k, rng)
-        return LatentState(y, z), 0, 0
-
-    # Metropolis-Hastings path for a large discrete block
-    z_new = rng.integers(params.g, size=n)
-    y_new = np.empty((n, e))
-    for k, comp in enumerate(params.components):
-        rows = np.flatnonzero(z_new == k)
-        if rows.size == 0:
-            continue
-        if c:
-            y_new[np.ix_(rows, np.arange(c))] = standardize_continuous(
-                values[rows, :c], comp)
-        lo, hi = latent_boxes(values[rows, c:], comp)
-        y_new[np.ix_(rows, np.arange(c, e))] = gauss.truncated_normal_rows(
-            np.zeros_like(lo), np.ones_like(lo), lo, hi, rng)
-
-    log_pi = np.log(params.proportions)
-    log_target_old = np.empty(n)
-    log_target_new = np.empty(n)
-    for k, comp in enumerate(params.components):
+    proposal, log_new, parts = _latent_proposal(values, params, rng)
+    log_old = np.empty(values.shape[0])
+    for k, (_, mean, chol, lo, hi, log_phat) in enumerate(parts):
         rows = np.flatnonzero(state.z == k)
-        if rows.size:
-            log_target_old[rows] = log_pi[k] + gauss.mvn_logpdf_rows(
-                state.y[rows], comp.correlation)
-        rows = np.flatnonzero(z_new == k)
-        if rows.size:
-            log_target_new[rows] = log_pi[k] + gauss.mvn_logpdf_rows(
-                y_new[rows], comp.correlation)
-    log_rho = (_log_q1(values, params, state.y, state.z)
-               - _log_q1(values, params, y_new, z_new)
-               + log_target_new - log_target_old)
-    accept = np.log(rng.random(n)) < log_rho
-    z = np.where(accept, z_new, state.z)
-    y = np.where(accept[:, None], y_new, state.y)
-    return LatentState(y, z), int(accept.sum()), n
+        _, log_w = gauss.ghk_rows(chol, mean[rows], lo[rows], hi[rows],
+                                  y=state.y[rows, c:])
+        log_old[rows] = log_w - log_phat[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        accept = np.log(rng.random(log_new.size)) < log_new - log_old
+    z = np.where(accept, proposal.z, state.z)
+    y = np.where(accept[:, None], proposal.y, state.y)
+    return LatentState(y, z), int(accept.sum()), accept.size
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +563,8 @@ def run_chain(dataset: MixedDataset, config: ChainConfig,
 
     total = config.burn_in + config.iterations
     acc = None
-    mh_accepted = 0
-    mh_proposed = 0
+    latent_accepted = 0
+    latent_proposed = 0
     margin_accepted = np.zeros((config.g, e))
     margin_proposed = 0
     agreement = []
@@ -659,10 +572,9 @@ def run_chain(dataset: MixedDataset, config: ChainConfig,
     draws = []
 
     for it in range(total):
-        state, a, p = step_latent(values, params, state, rng,
-                                  config.mh_latent_threshold)
-        mh_accepted += a
-        mh_proposed += p
+        state, a, p = step_latent(values, params, state, rng)
+        latent_accepted += a
+        latent_proposed += p
         params, state, took = step_margins(values, params, state, priors, rng)
         margin_accepted += took
         margin_proposed += 1
@@ -694,10 +606,9 @@ def run_chain(dataset: MixedDataset, config: ChainConfig,
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
         messages.append(msg)
 
-    accept_latent = mh_accepted / mh_proposed if mh_proposed else float("nan")
     return FitResult(
         params=estimate, labels=labels, posterior=posterior, loglik=loglik,
-        accept_latent=accept_latent,
+        accept_latent=latent_accepted / latent_proposed,
         accept_margins=margin_accepted / max(margin_proposed, 1),
         chain_logliks=(loglik,), chain_index=0,
         wall_time=time.perf_counter() - start,
@@ -804,12 +715,10 @@ def save_chain(path, result: FitResult, config: ChainConfig) -> None:
         "iterations": config.iterations, "burn_in": config.burn_in,
         "seed": config.seed, "n_chains": config.n_chains,
         "thin": config.thin,
-        "mh_latent_threshold": config.mh_latent_threshold,
         "n_draws": len(result.draws),
         "loglik": result.loglik,
         "chain_index": result.chain_index,
-        "accept_latent": (None if np.isnan(result.accept_latent)
-                          else result.accept_latent),
+        "accept_latent": result.accept_latent,
         "accept_margins": result.accept_margins.tolist(),
         "messages": list(result.messages),
     }

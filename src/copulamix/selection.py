@@ -153,7 +153,6 @@ def sweep(dataset: MixedDataset, g_values, families,
             cfg_kwargs = dict(
                 g=g, family=family, iterations=base.iterations,
                 burn_in=base.burn_in, seed=base.seed, n_chains=base.n_chains,
-                mh_latent_threshold=base.mh_latent_threshold,
                 thin=base.thin, keep_draws=base.keep_draws,
             )
             cfg_kwargs.update(config_overrides)

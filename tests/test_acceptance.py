@@ -341,10 +341,8 @@ class TestSamplerInvariants:
             priors = [mg.default_prior(ds.values[:, j], kind)
                       for j, kind in enumerate(ds.schema.kinds)]
             state = sp.initial_latent_state(ds.values, params, rng)
-            for sweep_ix in range(3):
-                threshold = 6 if sweep_ix < 2 else 1
-                state, _, _ = sp.step_latent(ds.values, params, state, rng,
-                                             mh_threshold=threshold)
+            for _ in range(3):
+                state, _, _ = sp.step_latent(ds.values, params, state, rng)
                 params, state, _ = sp.step_margins(ds.values, params, state,
                                                    priors, rng)
                 pi = sp.step_proportions(state.z, g, rng)

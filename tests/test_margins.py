@@ -110,6 +110,20 @@ class TestLatentBounds:
             np.testing.assert_array_equal(lo2, lo.reshape(2, -1))
             np.testing.assert_array_equal(hi2, hi.reshape(2, -1))
 
+    def test_large_counts_keep_their_mass(self):
+        # counts far in the upper tail: their cdf rounds to 1, so the
+        # bounds must come from the upper tail to stay finite and exact
+        mpmath = pytest.importorskip("mpmath")
+        from copulamix.gauss import log_gaussian_interval
+        counts = np.arange(20.0, 151.0)
+        lo, hi = mg.latent_bounds_arrays(counts, mg.PoissonMargin(5.0))
+        assert np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
+        with mpmath.workdps(50):
+            expected = [float(-5 + k * mpmath.log(5) - mpmath.loggamma(k + 1))
+                        for k in counts]
+        np.testing.assert_allclose(log_gaussian_interval(lo, hi), expected,
+                                   rtol=1e-10)
+
     def test_edges_infinite(self):
         lo, hi = mg.latent_bounds(0.0, mg.PoissonMargin(2.0))
         assert lo == -np.inf and np.isfinite(hi)

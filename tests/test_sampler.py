@@ -46,7 +46,6 @@ class TestChainConfig:
         assert cfg.iterations == 1000
         assert cfg.burn_in == 100
         assert cfg.n_chains == 10
-        assert cfg.mh_latent_threshold == 6
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -143,19 +142,21 @@ class TestStepLatent:
         state = sp.initial_latent_state(ds.values, params, rng)
         state, accepted, proposed = sp.step_latent(ds.values, params, state,
                                                    rng)
-        assert proposed == 0
+        assert proposed == 300
+        assert 0 < accepted <= 300
         assert state_invariants_hold(ds.values, params, state)
 
-    def test_warm_step_keeps_state_valid(self):
+    def test_rejected_rows_keep_their_state(self):
         rng = np.random.default_rng(30)
         params = example_mixture()
         ds, _, _ = mx.generate(300, params, rng)
         values = ds.values
         state = sp.initial_latent_state(values, params, rng)
-        new, _, _ = sp.step_latent(values, params, state, rng)
-        kept = new.z == state.z
-        assert kept.any()
-        assert np.all(new.y[kept, 1:] != state.y[kept, 1:])
+        new, accepted, _ = sp.step_latent(values, params, state, rng)
+        # an accepted proposal redraws every discrete coordinate
+        moved = np.any(new.y[:, 1:] != state.y[:, 1:], axis=1)
+        assert 0 < accepted == moved.sum() < 300
+        np.testing.assert_array_equal(new.z[~moved], state.z[~moved])
         assert state_invariants_hold(values, params, new)
         for k, comp in enumerate(params.components):
             rows = new.z == k
@@ -163,28 +164,48 @@ class TestStepLatent:
             assert np.all((new.y[rows, 1:] > lo) & (new.y[rows, 1:] < hi))
 
     def test_step_from_coordinates_outside_their_box(self):
+        # the Poisson coordinate 40 lies outside every box: every row moves
         rng = np.random.default_rng(31)
         params = example_mixture()
         ds, _, _ = mx.generate(300, params, rng)
         state = sp.initial_latent_state(ds.values, params, rng)
         far = mx.LatentState(np.full_like(state.y, 40.0), state.z)
-        new, _, _ = sp.step_latent(ds.values, params, far, rng)
+        new, accepted, _ = sp.step_latent(ds.values, params, far, rng)
+        assert accepted == 300
         assert state_invariants_hold(ds.values, params, new)
 
-    def test_mh_path_used_beyond_threshold(self):
+    def test_independent_family_accepts_every_proposal(self):
+        comps = tuple(mx.ComponentParams(np.eye(3), c.margins)
+                      for c in example_mixture().components)
+        params = mx.MixtureParams(np.array([0.5, 0.5]), comps, mx.INDEPENDENT)
+        ds, _, _ = mx.generate(150, params, np.random.default_rng(32))
+        cfg = sp.ChainConfig(g=2, family=mx.INDEPENDENT, iterations=10,
+                             burn_in=2, n_chains=1)
+        res = sp.run_chain(ds, cfg, np.random.default_rng(33))
+        assert res.accept_latent == 1.0
+
+    def test_move_proposes_every_row_at_any_d(self):
+        # d = 7 is past the dimension where box probabilities need
+        # quasi-Monte Carlo; the move computes none of them
         rng = np.random.default_rng(8)
-        params = example_mixture()
+        corr = gauss.random_correlation_matrix(8, rng)
+        margins = (mg.GaussianMargin(0.0, 1.0),) + tuple(
+            mg.PoissonMargin(2.0) if j % 2 else mg.OrdinalMargin([0.3, 0.7])
+            for j in range(7))
+        params = mx.MixtureParams(np.array([1.0]),
+                                  (mx.ComponentParams(corr, margins),))
         ds, _, _ = mx.generate(300, params, rng)
         state = sp.initial_latent_state(ds.values, params, rng)
+        assert state_invariants_hold(ds.values, params, state)
         state, accepted, proposed = sp.step_latent(ds.values, params, state,
-                                                   rng, mh_threshold=1)
+                                                   rng)
         assert proposed == 300
         assert 0 < accepted <= 300
         assert state_invariants_hold(ds.values, params, state)
 
-    def test_mh_path_preserves_posterior_frequencies(self):
-        # with many repeated MH steps the label distribution approaches the
-        # exact-path multinomial probabilities
+    def test_move_preserves_posterior_frequencies(self):
+        # with many repeated moves the label distribution approaches the
+        # posterior membership probabilities
         rng = np.random.default_rng(9)
         params = example_mixture()
         ds, _, _ = mx.generate(400, params, rng)
@@ -193,8 +214,7 @@ class TestStepLatent:
         hits = np.zeros(ds.n)
         n_rounds = 60
         for _ in range(n_rounds):
-            state, _, _ = sp.step_latent(ds.values, params, state, rng,
-                                         mh_threshold=1)
+            state, _, _ = sp.step_latent(ds.values, params, state, rng)
             hits += (state.z == 1)
         # average over rows: empirical rate of label 2 vs posterior mass
         assert np.mean(hits / n_rounds) == pytest.approx(
@@ -224,6 +244,60 @@ def _discrete_latent_case():
                                (mg.PoissonMargin(3.0), mg.PoissonMargin(2.5)))
     params = mx.MixtureParams(np.array([0.4, 0.6]), (comp1, comp2))
     rows = np.array([[0, 2], [1, 3], [2, 2], [3, 3]], dtype=float)
+    return params, rows
+
+
+def _binary_high_correlation_case():
+    # c = 0, d = 2; component 1 has latent correlation 0.98, where Gibbs
+    # sweeps from a box corner stay far from their target for many sweeps
+    half = mg.OrdinalMargin([0.5, 0.5])
+    comp1 = mx.ComponentParams(np.array([[1.0, 0.98], [0.98, 1.0]]),
+                               (half, half))
+    comp2 = mx.ComponentParams(np.array([[1.0, -0.3], [-0.3, 1.0]]),
+                               (mg.OrdinalMargin([0.3, 0.7]),
+                                mg.OrdinalMargin([0.6, 0.4])))
+    params = mx.MixtureParams(np.array([0.5, 0.5]), (comp1, comp2))
+    rows = np.array([[1, 1], [2, 2]], dtype=float)
+    return params, rows
+
+
+def _four_discrete_case():
+    # c = 1, d = 4: two Poisson and two ordinal columns, discrete latent
+    # correlations up to 0.8
+    corr1 = np.array([[1.0, 0.3, 0.2, 0.1, 0.3],
+                      [0.3, 1.0, 0.6, 0.5, 0.4],
+                      [0.2, 0.6, 1.0, 0.7, 0.5],
+                      [0.1, 0.5, 0.7, 1.0, 0.6],
+                      [0.3, 0.4, 0.5, 0.6, 1.0]])
+    corr2 = np.array([[1.0, -0.2, 0.1, 0.0, 0.2],
+                      [-0.2, 1.0, -0.1, 0.2, 0.1],
+                      [0.1, -0.1, 1.0, 0.8, 0.0],
+                      [0.0, 0.2, 0.8, 1.0, -0.2],
+                      [0.2, 0.1, 0.0, -0.2, 1.0]])
+    comp1 = mx.ComponentParams(corr1, (
+        mg.GaussianMargin(-0.5, 1.0), mg.PoissonMargin(2.0),
+        mg.OrdinalMargin([0.3, 0.4, 0.3]), mg.OrdinalMargin([0.5, 0.5]),
+        mg.PoissonMargin(1.0)))
+    comp2 = mx.ComponentParams(corr2, (
+        mg.GaussianMargin(0.5, 1.0), mg.PoissonMargin(3.0),
+        mg.OrdinalMargin([0.2, 0.3, 0.5]), mg.OrdinalMargin([0.6, 0.4]),
+        mg.PoissonMargin(2.0)))
+    params = mx.MixtureParams(np.array([0.5, 0.5]), (comp1, comp2))
+    rows = np.array([[-0.3, 1, 3, 1, 0], [-0.3, 4, 1, 2, 0],
+                     [-0.3, 2, 3, 2, 3]])
+    return params, rows
+
+
+def _continuous_only_case():
+    # c = 2, d = 0: the step reduces to the label draw
+    comp1 = mx.ComponentParams(np.array([[1.0, 0.6], [0.6, 1.0]]),
+                               (mg.GaussianMargin(-1.0, 1.0),
+                                mg.GaussianMargin(0.0, 1.0)))
+    comp2 = mx.ComponentParams(np.array([[1.0, -0.5], [-0.5, 1.0]]),
+                               (mg.GaussianMargin(1.0, 1.5),
+                                mg.GaussianMargin(0.5, 1.0)))
+    params = mx.MixtureParams(np.array([0.4, 0.6]), (comp1, comp2))
+    rows = np.array([[0.0, 0.0], [-0.5, 1.0], [0.3, -0.4]])
     return params, rows
 
 
@@ -263,7 +337,10 @@ class TestLatentStepLaw:
     min_p = 1e-4
 
     @pytest.mark.parametrize("case", [_mixed_latent_case,
-                                      _discrete_latent_case])
+                                      _discrete_latent_case,
+                                      _binary_high_correlation_case,
+                                      _four_discrete_case,
+                                      _continuous_only_case])
     def test_chain_matches_exact_draws(self, case):
         params, rows = case()
         t, _ = mx.posterior_probs_rows(rows, params)

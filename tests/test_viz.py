@@ -206,6 +206,17 @@ class TestProject:
         centred = proj["scores"][keep].mean(axis=0)
         assert np.all(np.abs(centred) < 0.3)
 
+    def test_large_count_scores_finite(self, data):
+        # a count of 34 or more has a cdf that rounds to 1 under the rate 5
+        # of component 1; its latent interval must stay non-empty
+        ds, _, params = data
+        values = np.vstack([ds.values, [[-2.0, 34.0, 1.0], [-2.0, 60.0, 2.0]]])
+        ds = type(ds)(ds.schema, values)
+        proj = viz.project(ds, params, 0, rng=np.random.default_rng(14),
+                           n_mc=100)
+        assert np.all(np.isfinite(proj["scores"]))
+        assert np.all(np.isfinite(proj["mc_error"]))
+
     def test_axis_validation(self, data):
         ds, _, params = data
         with pytest.raises(ValueError):
