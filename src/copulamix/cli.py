@@ -19,12 +19,9 @@ import numpy as np
 from . import evaluate as ev, sampler as sp, selection as sel, viz
 from .gauss import NumericalError
 from .model import (
-    HETEROSCEDASTIC, MixtureParams, generate, params_from_json,
-    params_to_json, posterior_probs_rows,
+    FAMILIES, HETEROSCEDASTIC, generate, params_from_json, params_to_json,
 )
-from .schema import (
-    DataError, MixedDataset, SchemaError, load_dataset, save_dataset,
-)
+from .schema import DataError, SchemaError, load_dataset, save_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,15 +65,15 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _chain_config(args, g: int, family: str,
-                  keep_draws: bool = False) -> sp.ChainConfig:
+def _chain_config(args, g: int, family: str, keep_draws: bool = False,
+                  thin: int = 1) -> sp.ChainConfig:
     if g < 1:
         raise UsageError("g must be >= 1")
     try:
         return sp.ChainConfig(
             g=g, family=family, iterations=args.iters, burn_in=args.burnin,
             seed=args.seed, n_chains=args.chains, keep_draws=keep_draws,
-            thin=args.thin)
+            thin=thin)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -92,7 +89,8 @@ def _partition_csv(result: sp.FitResult) -> str:
 
 def cmd_fit(args) -> int:
     dataset = load_dataset(args.data, args.schema)
-    config = _chain_config(args, args.g, args.family, keep_draws=True)
+    config = _chain_config(args, args.g, args.family, keep_draws=True,
+                           thin=args.thin)
     out = _ensure_outdir(args.out)
     _note(f"fitting g={args.g} {args.family} model on {dataset.n} rows")
     result = sp.fit(dataset, config)
@@ -121,7 +119,7 @@ def cmd_select(args) -> int:
         raise UsageError("need 1 <= gmin <= gmax")
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     for family in families:
-        if family not in ("independent", "homoscedastic", "heteroscedastic"):
+        if family not in FAMILIES:
             raise UsageError(f"unknown family {family!r}")
     out = _ensure_outdir(args.out)
     base = _chain_config(args, args.gmin, families[0])
@@ -247,7 +245,6 @@ def _add_sampler_flags(parser) -> None:
     parser.add_argument("--chains", type=int, default=10,
                         help="independent chains (default 10)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--thin", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,9 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schema")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--family", default=HETEROSCEDASTIC,
-                   choices=["independent", "homoscedastic", "heteroscedastic"])
+                   choices=FAMILIES)
     p.add_argument("--out", required=True)
     _add_sampler_flags(p)
+    p.add_argument("--thin", type=int, default=1, help="keep every THIN-th "
+                   "post-burn-in draw in chain.ndjson (default 1)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("select", help="sweep families and component counts")
@@ -276,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schema")
     p.add_argument("--gmin", type=int, default=1)
     p.add_argument("--gmax", type=int, default=5)
-    p.add_argument("--families",
-                   default="independent,homoscedastic,heteroscedastic")
+    p.add_argument("--families", default=",".join(FAMILIES))
     p.add_argument("--out", required=True)
     _add_sampler_flags(p)
     p.set_defaults(func=cmd_select)
@@ -308,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="100,400,1600")
     p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--family", default=HETEROSCEDASTIC,
-                   choices=["independent", "homoscedastic", "heteroscedastic"])
+                   choices=FAMILIES)
     p.add_argument("--out", required=True)
     _add_sampler_flags(p)
     p.set_defaults(func=cmd_eval)

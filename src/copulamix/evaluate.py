@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from . import gauss, margins as mg, sampler as sp
+from . import margins as mg, sampler as sp
 from .model import (
     ComponentParams, MixtureParams, generate, mixture_logpdf_rows,
     standardize_continuous,
@@ -360,11 +360,8 @@ def run_simulation_study(study: str, sample_sizes, replicates: int,
             seed = np.random.SeedSequence((master_seed, study_tag,
                                            int(n), rep))
             rng = np.random.default_rng(seed)
-            cfg_seed = int(seed.generate_state(1)[0])
-            base = config or sp.ChainConfig(g=2)
-            cfg = sp.ChainConfig(
-                g=2, family=base.family, iterations=base.iterations,
-                burn_in=base.burn_in, seed=cfg_seed, n_chains=base.n_chains)
+            cfg = replace(config or sp.ChainConfig(g=2), g=2,
+                          seed=int(seed.generate_state(1)[0]))
             try:
                 if study == "example1":
                     truth = example1_params()

@@ -1,10 +1,15 @@
 """Multivariate normal numerics.
 
-Conditional distributions, rectangle (box) probabilities, truncated sampling
-and means, inverse Wishart draws and covariance-to-correlation normalization.
-Rectangle probabilities use a closed form in one dimension, a deterministic
-Drezner/Genz algorithm in two, a Gauss-Legendre conditioning rule in three
-and randomized quasi-Monte Carlo separation of variables beyond that.
+Cholesky factors with jitter repair, correlation normalization, the
+regression of one coordinate on the rest, row-wise normal log densities and
+inverse Wishart draws.  Truncated normals: one-dimensional draws per row,
+log interval masses stable in both tails, the GHK sequential draw (or
+score) of a box-truncated vector that the sampler's latent move proposes,
+and GHK importance-sampling means of such a vector for the visualization.
+Rectangle (box) probabilities score fitted mixtures: a closed form in one
+dimension, a deterministic Drezner/Genz algorithm in two, a Gauss-Legendre
+conditioning rule in three and randomized quasi-Monte Carlo separation of
+variables beyond that.
 
 Everything is a pure function of its inputs plus a caller-supplied
 ``numpy.random.Generator``; batch variants share one covariance across many
@@ -13,22 +18,15 @@ rows of bounds, which is the shape the sampler needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 __all__ = [
-    "NumericalError", "Box", "BoxProb",
-    "chol_spd", "conditional_gaussian", "normalize_to_correlation",
-    "is_correlation_matrix", "random_correlation_matrix",
-    "inverse_wishart_sample",
-    "truncated_univariate_normal_sample", "truncated_normal_rows",
-    "log_gaussian_interval",
-    "truncated_mvn_sample", "gibbs_coefficients", "truncated_mvn_gibbs_rows",
-    "ghk_rows", "ghk_means", "box_probability", "box_probabilities",
+    "NumericalError", "chol_spd", "normalize_to_correlation",
+    "is_correlation_matrix", "inverse_wishart_sample",
+    "truncated_normal_rows", "log_gaussian_interval",
+    "ghk_rows", "ghk_means", "box_probabilities",
     "bvn_rectangle", "mvn_logpdf_rows",
 ]
 
@@ -39,39 +37,6 @@ _TAIL_CUT = 8.5  # standard deviations; one-sided tail mass < 1e-17
 
 class NumericalError(ArithmeticError):
     """Unrecoverable numerical degeneracy (singular or indefinite matrix)."""
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box with possibly infinite per-dimension bounds."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lower/upper must be 1-d arrays of equal length")
-        if np.any(lo >= hi):
-            raise ValueError("box needs lower < upper in every dimension")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    @classmethod
-    def full(cls, dim: int) -> "Box":
-        return cls(np.full(dim, -np.inf), np.full(dim, np.inf))
-
-
-class BoxProb(NamedTuple):
-    value: float
-    error: float
 
 
 # ---------------------------------------------------------------------------
@@ -121,44 +86,6 @@ def normalize_to_correlation(covariance: np.ndarray) -> np.ndarray:
     np.fill_diagonal(corr, 1.0)
     chol_spd(corr)  # raises if indefinite beyond repair
     return corr
-
-
-def random_correlation_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank correlation matrix (test/fuzzing helper)."""
-    a = rng.normal(size=(dim, dim + 2))
-    return normalize_to_correlation(a @ a.T / (dim + 2))
-
-
-def conditional_gaussian(cov: np.ndarray, target_idx, given_idx,
-                         y_given: np.ndarray, mean: np.ndarray | None = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Schur-complement conditional of a Gaussian vector.
-
-    Returns the mean and covariance of the ``target_idx`` block conditioned
-    on the ``given_idx`` block taking value ``y_given``.  The overall mean
-    defaults to zero.
-    """
-    cov = np.asarray(cov, dtype=float)
-    target_idx = np.asarray(target_idx, dtype=int)
-    given_idx = np.asarray(given_idx, dtype=int)
-    if np.intersect1d(target_idx, given_idx).size:
-        raise ValueError("target and conditioning index sets must be disjoint")
-    if mean is None:
-        mean = np.zeros(cov.shape[0])
-    if given_idx.size == 0:
-        return mean[target_idx], cov[np.ix_(target_idx, target_idx)]
-
-    c_gg = cov[np.ix_(given_idx, given_idx)]
-    if np.linalg.cond(c_gg) > 1e12:
-        raise NumericalError("conditioning block is numerically singular")
-    c_tg = cov[np.ix_(target_idx, given_idx)]
-    factor = cho_factor(c_gg, lower=True)
-    # A = C_tg C_gg^{-1}
-    coef = cho_solve(factor, c_tg.T).T
-    cond_mean = mean[target_idx] + coef @ (np.asarray(y_given, float) - mean[given_idx])
-    cond_cov = cov[np.ix_(target_idx, target_idx)] - coef @ c_tg.T
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    return cond_mean, cond_cov
 
 
 def conditional_coefficients(cov: np.ndarray, j: int) -> tuple[np.ndarray, float]:
@@ -298,99 +225,6 @@ def truncated_normal_rows(mean, sd, lower, upper,
     b = (upper - mean) / sd
     u = rng.uniform(size=np.broadcast(a, b).shape)
     return mean + sd * _trunc_std_normal(a, b, u)
-
-
-def truncated_univariate_normal_sample(mean: float, sd: float, lower: float,
-                                       upper: float,
-                                       rng: np.random.Generator) -> float:
-    """One truncated normal draw in (lower, upper)."""
-    if not sd > 0:
-        raise ValueError("standard deviation must be positive")
-    if not lower < upper:
-        raise ValueError("need lower < upper")
-    return float(truncated_normal_rows(mean, sd, lower, upper, rng))
-
-
-def gibbs_coefficients(cov: np.ndarray
-                       ) -> tuple[list[np.ndarray], list[float]]:
-    """Regression coefficients and conditional standard deviations of every
-    coordinate given the others, for a covariance of dimension at least 2.
-
-    These are the full conditionals a coordinate-wise Gibbs sweep draws
-    from; pass them to every ``truncated_mvn_gibbs_rows`` call that shares
-    the covariance.
-    """
-    coefs = []
-    sds = []
-    for j in range(cov.shape[0]):
-        coef, var = conditional_coefficients(cov, j)
-        coefs.append(coef)
-        sds.append(np.sqrt(var))
-    return coefs, sds
-
-
-def truncated_mvn_gibbs_rows(cov: np.ndarray, means: np.ndarray,
-                             lower: np.ndarray, upper: np.ndarray,
-                             rng: np.random.Generator, sweeps: int = 10,
-                             init: np.ndarray | None = None,
-                             coefficients: tuple | None = None) -> np.ndarray:
-    """Coordinate-wise Gibbs sampling of a box-truncated multivariate normal,
-    vectorized over rows that share one covariance.
-
-    ``means``, ``lower`` and ``upper`` are (n, d); the return value lies
-    strictly inside its box row by row, whatever the start.  The start is
-    the box-clamped mean unless ``init`` gives one.  ``coefficients`` is
-    ``gibbs_coefficients(cov)``, computed here when not given.
-    """
-    cov = np.asarray(cov, dtype=float)
-    means = np.atleast_2d(np.asarray(means, dtype=float))
-    lower = np.atleast_2d(np.asarray(lower, dtype=float))
-    upper = np.atleast_2d(np.asarray(upper, dtype=float))
-    n, d = lower.shape
-    if d == 0:
-        return np.zeros((n, 0))
-    if d == 1:
-        sd = np.sqrt(cov[0, 0])
-        return truncated_normal_rows(means[:, 0], sd, lower[:, 0],
-                                     upper[:, 0], rng)[:, None]
-
-    if init is None:
-        sds = np.sqrt(np.diag(cov))
-        lo_f = np.where(np.isfinite(lower), lower,
-                        np.where(np.isfinite(upper), upper - 2.0 * sds,
-                                 means - 3.0 * sds))
-        hi_f = np.where(np.isfinite(upper), upper,
-                        np.where(np.isfinite(lower), lower + 2.0 * sds,
-                                 means + 3.0 * sds))
-        y = np.clip(means, lo_f + 1e-9 * (hi_f - lo_f), hi_f - 1e-9 * (hi_f - lo_f))
-    else:
-        y = np.array(init, dtype=float, copy=True)
-
-    if coefficients is None:
-        coefficients = gibbs_coefficients(cov)
-    coefs, sds_c = coefficients
-    rest_idx = [np.delete(np.arange(d), j) for j in range(d)]
-
-    centered = y - means
-    for _ in range(max(1, sweeps)):
-        for j in range(d):
-            m = means[:, j] + centered[:, rest_idx[j]] @ coefs[j]
-            draw = truncated_normal_rows(m, sds_c[j], lower[:, j], upper[:, j], rng)
-            centered[:, j] = draw - means[:, j]
-    return centered + means
-
-
-def truncated_mvn_sample(mean, cov, box: Box, rng: np.random.Generator,
-                         sweeps: int = 10) -> np.ndarray:
-    """One draw from a box-truncated multivariate normal via Gibbs sweeps."""
-    prob = box_probability(mean, cov, box, rng=rng).value
-    if prob < 1e-300:
-        raise NumericalError("box probability underflows; region is degenerate")
-    out = truncated_mvn_gibbs_rows(np.asarray(cov, float),
-                                   np.asarray(mean, float)[None, :],
-                                   box.lower[None, :], box.upper[None, :],
-                                   rng, sweeps=sweeps)
-    return out[0]
 
 
 def ghk_rows(chol: np.ndarray, mean: np.ndarray, lower: np.ndarray,
@@ -714,14 +548,3 @@ def box_probabilities(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         err[todo] = e
         todo = todo[e > np.maximum(rel_tol * v, 1e-12)]
     return value, err
-
-
-def box_probability(mean, cov, box: Box, rng: np.random.Generator | None = None,
-                    rel_tol: float = 1e-4) -> BoxProb:
-    """Probability that N(mean, cov) falls in the box, with an error estimate."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    value, err = box_probabilities(cov, (box.lower - mean)[None, :],
-                                   (box.upper - mean)[None, :],
-                                   rng=rng, rel_tol=rel_tol)
-    return BoxProb(float(value[0]), float(err[0]))

@@ -1,9 +1,12 @@
 """One-dimensional marginal distributions per mixture component.
 
 Three families: Gaussian for continuous columns, Poisson for integer columns,
-ordered multinomial for ordinal columns.  Besides density/cdf/quantile, each
-discrete family exposes the latent interval (b_lo, b_hi] that a standard
-normal coordinate must fall in to reproduce a given observed value.
+ordered multinomial for ordinal columns.  Besides vectorized density, cdf and
+quantile, each discrete family exposes the latent interval (b_lo, b_hi] that
+a standard normal coordinate must fall in to reproduce a given observed
+value.  ``margin_to_dict`` and ``margin_from_dict`` are the one JSON codec of
+a margin, shared by the parameter file, the stored draws and the
+posterior-mean accumulator.
 
 Priors follow the usual conjugate choices with empirically fixed
 hyper-parameters: normal-inverse-gamma for the Gaussian margin, gamma (shape,
@@ -17,16 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, pdtr, pdtrc
+from scipy.special import gammaln, ndtr, ndtri, ndtri_exp, pdtr, pdtrc
 
 __all__ = [
     "GaussianMargin", "PoissonMargin", "OrdinalMargin", "MarginParams",
     "GaussianNIGPrior", "PoissonGammaPrior", "OrdinalDirichletPrior",
     "MarginPrior", "SupportError",
-    "margin_cdf", "margin_quantile", "margin_logpdf", "latent_bounds",
-    "cdf_array", "logpdf_array", "quantile_array", "latent_bounds_arrays",
-    "default_prior", "prior_sample", "prior_logdensity",
-    "conjugate_posterior_sample", "conjugate_posterior_logdensity",
+    "cdf_array", "logpdf_array", "quantile_array",
+    "latent_bounds", "latent_bounds_arrays",
+    "margin_to_dict", "margin_from_dict",
+    "default_prior", "conjugate_posterior_sample",
 ]
 
 LOG_PROB_FLOOR = 1e-10  # clip for ordinal log masses during MH evaluation
@@ -121,12 +124,6 @@ def _check_support(x, margin: MarginParams) -> None:
         raise SupportError(f"ordinal value out of range 1..{margin.levels}")
 
 
-def margin_cdf(x, margin: MarginParams) -> float:
-    """Cdf of one margin at a support point."""
-    _check_support(x, margin)
-    return float(np.ravel(cdf_array(x, margin))[0])
-
-
 def quantile_array(u, margin: MarginParams) -> np.ndarray:
     """Generalized inverse cdf: smallest support value with cdf >= u."""
     u = np.asarray(u, dtype=float)
@@ -140,10 +137,6 @@ def quantile_array(u, margin: MarginParams) -> np.ndarray:
     cum = np.cumsum(margin.probs)
     cum[-1] = 1.0
     return np.searchsorted(cum, u, side="left") + 1.0
-
-
-def margin_quantile(u: float, margin: MarginParams) -> float:
-    return float(quantile_array(u, margin))
 
 
 def logpdf_array(x, margin: MarginParams, clip: bool = False) -> np.ndarray:
@@ -166,8 +159,19 @@ def logpdf_array(x, margin: MarginParams, clip: bool = False) -> np.ndarray:
         return np.log(p)
 
 
-def margin_logpdf(x, margin: MarginParams) -> float:
-    return float(logpdf_array(x, margin))
+def _poisson_log_sf(k, rate: float) -> np.ndarray:
+    """log P(X > k) for counts k far above the rate, where ``pdtrc``
+    underflows: log pmf(k + 1) plus the log of the series
+    1 + sum_j prod_{i <= j} rate / (k + 1 + i), summed until a term no
+    longer changes the total."""
+    term = np.ones_like(k)
+    total = np.ones_like(k)
+    i = 1
+    while np.any(term > 1e-17 * total):
+        term = term * rate / (k + 1.0 + i)
+        total = total + term
+        i += 1
+    return (k + 1.0) * np.log(rate) - rate - gammaln(k + 2.0) + np.log(total)
 
 
 def latent_bounds(x, margin: MarginParams) -> tuple[float, float]:
@@ -186,7 +190,8 @@ def latent_bounds_arrays(x, margin: MarginParams) -> tuple[np.ndarray, np.ndarra
     The cdf and its normal quantile are evaluated once per distinct support
     value: the observed counts of a Poisson margin, the ``levels + 1``
     cutpoints of an ordinal one.  Poisson scores above the median come from
-    the upper tail, so a large count keeps a finite, non-empty interval.
+    the upper tail, in log space where it underflows, so a large count keeps
+    a finite, non-empty interval.
     """
     if not is_discrete(margin):
         raise SupportError("latent bounds are defined for discrete margins only")
@@ -197,14 +202,42 @@ def latent_bounds_arrays(x, margin: MarginParams) -> tuple[np.ndarray, np.ndarra
         index = index.reshape(x.shape)
         k = np.concatenate([values - 1.0, values])
         cdf = cdf_array(k, margin)
+        sf = pdtrc(k, margin.rate)
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.where(cdf > 0.5, -ndtri(pdtrc(k, margin.rate)),
-                              ndtri(cdf))
+            scores = np.where(cdf > 0.5, -ndtri(sf), ndtri(cdf))
+        far = sf < np.finfo(float).tiny  # there cdf rounds to 1
+        if far.any():
+            scores[far] = -ndtri_exp(_poisson_log_sf(k[far], margin.rate))
         return scores[:values.size][index], scores[values.size:][index]
     with np.errstate(divide="ignore"):
         cuts = ndtri(cdf_array(np.arange(margin.levels + 1.0), margin))
     level = x.astype(int)
     return cuts[level - 1], cuts[level]
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+def margin_to_dict(margin: MarginParams) -> dict:
+    """JSON-ready document of a margin: its family and its numbers."""
+    if isinstance(margin, GaussianMargin):
+        return {"family": "gaussian", "mu": float(margin.mu),
+                "sigma": float(margin.sigma)}
+    if isinstance(margin, PoissonMargin):
+        return {"family": "poisson", "rate": float(margin.rate)}
+    return {"family": "multinomial", "probs": margin.probs.tolist()}
+
+
+def margin_from_dict(doc: dict) -> MarginParams:
+    """The margin a ``margin_to_dict`` document describes."""
+    fam = doc.get("family")
+    if fam == "gaussian":
+        return GaussianMargin(float(doc["mu"]), float(doc["sigma"]))
+    if fam == "poisson":
+        return PoissonMargin(float(doc["rate"]))
+    if fam == "multinomial":
+        return OrdinalMargin(np.asarray(doc["probs"], dtype=float))
+    raise ValueError(f"unknown margin family {fam!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +319,6 @@ def default_prior(column: np.ndarray, kind) -> MarginPrior:
     return OrdinalDirichletPrior(levels=kind.levels)
 
 
-def prior_sample(prior: MarginPrior, rng: np.random.Generator) -> MarginParams:
-    return conjugate_posterior_sample(np.empty(0), prior, rng)
-
-
 # ---------------------------------------------------------------------------
 # conjugate posteriors (exact under local independence)
 
@@ -332,49 +361,3 @@ def conjugate_posterior_sample(values, prior: MarginPrior,
     p = rng.dirichlet(alpha)
     p = p / p.sum()
     return OrdinalMargin(p)
-
-
-def _nig_logpdf(margin: GaussianMargin, hp: GaussianNIGPrior) -> float:
-    # density over (mu, sigma^2)
-    s2 = margin.sigma ** 2
-    log_ig = (hp.c0 * np.log(hp.C0) - gammaln(hp.c0)
-              - (hp.c0 + 1.0) * np.log(s2) - hp.C0 / s2)
-    var = s2 / hp.N0
-    log_n = -0.5 * np.log(2.0 * np.pi * var) - 0.5 * (margin.mu - hp.b0) ** 2 / var
-    return float(log_ig + log_n)
-
-
-def _gamma_logpdf(rate: float, hp: PoissonGammaPrior) -> float:
-    return float(hp.a0 * np.log(hp.A0) - gammaln(hp.a0)
-                 + (hp.a0 - 1.0) * np.log(rate) - hp.A0 * rate)
-
-
-def _dirichlet_logpdf(p: np.ndarray, alpha: np.ndarray) -> float:
-    if np.any(p <= 0):
-        return -np.inf
-    return float(gammaln(alpha.sum()) - gammaln(alpha).sum()
-                 + np.sum((alpha - 1.0) * np.log(p)))
-
-
-def conjugate_posterior_logdensity(margin: MarginParams, values,
-                                   prior: MarginPrior) -> float:
-    """Log density of the conjugate posterior evaluated at a parameter value.
-
-    For the Gaussian family the density is taken over (mu, sigma^2).
-    """
-    post = posterior_hyperparams(values, prior)
-    if isinstance(post, GaussianNIGPrior):
-        if not isinstance(margin, GaussianMargin):
-            raise TypeError("parameter family does not match prior")
-        return _nig_logpdf(margin, post)
-    if isinstance(post, PoissonGammaPrior):
-        if not isinstance(margin, PoissonMargin):
-            raise TypeError("parameter family does not match prior")
-        return _gamma_logpdf(margin.rate, post)
-    if not isinstance(margin, OrdinalMargin):
-        raise TypeError("parameter family does not match prior")
-    return _dirichlet_logpdf(margin.probs, post.alpha)
-
-
-def prior_logdensity(margin: MarginParams, prior: MarginPrior) -> float:
-    return conjugate_posterior_logdensity(margin, np.empty(0), prior)

@@ -17,7 +17,7 @@ per component).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp, ndtr
@@ -383,42 +383,25 @@ def generate(n: int, params: MixtureParams, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _margin_to_dict(margin: mg.MarginParams) -> dict:
-    if isinstance(margin, mg.GaussianMargin):
-        return {"family": "gaussian", "mu": float(margin.mu),
-                "sigma": float(margin.sigma)}
-    if isinstance(margin, mg.PoissonMargin):
-        return {"family": "poisson", "rate": float(margin.rate)}
-    return {"family": "multinomial", "probs": list(margin.probs)}
-
-
-def _margin_from_dict(doc: dict) -> mg.MarginParams:
-    fam = doc.get("family")
-    if fam == "gaussian":
-        return mg.GaussianMargin(float(doc["mu"]), float(doc["sigma"]))
-    if fam == "poisson":
-        return mg.PoissonMargin(float(doc["rate"]))
-    if fam == "multinomial":
-        return mg.OrdinalMargin(np.asarray(doc["probs"], dtype=float))
-    raise ValueError(f"unknown margin family {fam!r}")
-
-
-def params_to_json(params: MixtureParams,
-                   names: tuple[str, ...] | None = None) -> str:
-    """Serialize to JSON, round-trip stable (floats keep full precision)."""
-    doc = {
-        "family": params.family,
-        "g": params.g,
+def _params_doc(params: MixtureParams) -> dict:
+    """Proportions and components as a JSON-ready document."""
+    return {
         "pi": list(map(float, params.proportions)),
         "components": [
             {
-                "margins": [_margin_to_dict(m) for m in comp.margins],
+                "margins": [mg.margin_to_dict(m) for m in comp.margins],
                 "correlation": [list(map(float, row))
                                 for row in comp.correlation],
             }
             for comp in params.components
         ],
     }
+
+
+def params_to_json(params: MixtureParams,
+                   names: tuple[str, ...] | None = None) -> str:
+    """Serialize to JSON, round-trip stable (floats keep full precision)."""
+    doc = {"family": params.family, "g": params.g, **_params_doc(params)}
     if names is not None:
         doc["columns"] = list(names)
     return json.dumps(doc, indent=2)
@@ -426,19 +409,12 @@ def params_to_json(params: MixtureParams,
 
 def params_from_json(text: str) -> MixtureParams:
     doc = json.loads(text)
-    family = doc["family"]
-    comps = []
-    shared: np.ndarray | None = None
-    for entry in doc["components"]:
-        corr = np.asarray(entry["correlation"], dtype=float)
-        if family == HOMOSCEDASTIC:
-            if shared is None:
-                shared = corr
-            corr = shared
-        comps.append(ComponentParams(
-            corr, tuple(_margin_from_dict(m) for m in entry["margins"])))
-    params = MixtureParams(np.asarray(doc["pi"], dtype=float),
-                           tuple(comps), family)
+    comps = tuple(
+        ComponentParams(np.asarray(entry["correlation"], dtype=float),
+                        tuple(mg.margin_from_dict(m) for m in entry["margins"]))
+        for entry in doc["components"])
+    params = MixtureParams(np.asarray(doc["pi"], dtype=float), comps,
+                           doc["family"])
     if params.g != doc.get("g", params.g):
         raise ValueError("component count disagrees with declared g")
     return params

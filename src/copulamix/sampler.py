@@ -33,15 +33,15 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import gauss, margins as mg
 from .model import (
-    HETEROSCEDASTIC, HOMOSCEDASTIC, INDEPENDENT,
-    ComponentParams, LatentState, MixtureParams,
+    FAMILIES, HETEROSCEDASTIC, HOMOSCEDASTIC, INDEPENDENT,
+    ComponentParams, LatentState, MixtureParams, _params_doc,
     conditional_block, latent_boxes, posterior_and_logpdf_rows,
     posterior_probs_rows,  # noqa: F401 -- perfbench's tracer test wraps it here
     standardize_continuous,
@@ -82,7 +82,7 @@ class ChainConfig:
             raise ValueError("need at least one component")
         if self.iterations < 1 or self.burn_in < 0:
             raise ValueError("need iterations >= 1 and burn_in >= 0")
-        if self.family not in (INDEPENDENT, HOMOSCEDASTIC, HETEROSCEDASTIC):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown correlation family {self.family!r}")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
@@ -451,92 +451,46 @@ def step_correlation(params: MixtureParams, state: LatentState,
 # posterior-mean accumulation
 
 class _DrawAccumulator:
-    """Running elementwise sums of parameter draws."""
+    """Running elementwise sums of parameter draws; a margin's sums are
+    those of the numbers in its ``margins.margin_to_dict`` document."""
 
     def __init__(self, params: MixtureParams):
         g, e = params.g, params.dim
         self.count = 0
         self.pi = np.zeros(g)
         self.corr = np.zeros((g, e, e))
-        self.margin_sums = [[_margin_zero(m) for m in comp.margins]
-                            for comp in params.components]
+        self.margin_sums = [
+            [{key: value if key == "family" else np.zeros(np.shape(value))
+              for key, value in mg.margin_to_dict(m).items()}
+             for m in comp.margins]
+            for comp in params.components]
 
     def add(self, params: MixtureParams) -> None:
         self.count += 1
         self.pi += params.proportions
         for k, comp in enumerate(params.components):
             self.corr[k] += comp.correlation
-            for j, m in enumerate(comp.margins):
-                _margin_accumulate(self.margin_sums[k][j], m)
+            for sums, m in zip(self.margin_sums[k], comp.margins):
+                for key, value in mg.margin_to_dict(m).items():
+                    if key != "family":
+                        sums[key] += value
 
     def mean(self, family: str) -> MixtureParams:
         if self.count == 0:
             raise DegenerateFitError("no stored draws")
         r = self.count
-        pi = self.pi / self.pi.sum()
         comps = []
-        shared = None
-        for k in range(len(self.margin_sums)):
-            corr = gauss.normalize_to_correlation(self.corr[k] / r)
-            if family == INDEPENDENT:
-                corr = np.eye(corr.shape[0])
-            elif family == HOMOSCEDASTIC:
-                if shared is None:
-                    shared = corr
-                corr = shared
-            margins = tuple(_margin_mean(s, r) for s in self.margin_sums[k])
-            comps.append(ComponentParams(corr, margins))
-        return MixtureParams(pi, tuple(comps), family)
-
-
-def _margin_zero(margin: mg.MarginParams) -> dict:
-    if isinstance(margin, mg.GaussianMargin):
-        return {"family": "gaussian", "mu": 0.0, "sigma": 0.0}
-    if isinstance(margin, mg.PoissonMargin):
-        return {"family": "poisson", "rate": 0.0}
-    return {"family": "multinomial", "probs": np.zeros(margin.levels)}
-
-
-def _margin_accumulate(acc: dict, margin: mg.MarginParams) -> None:
-    if acc["family"] == "gaussian":
-        acc["mu"] += margin.mu
-        acc["sigma"] += margin.sigma
-    elif acc["family"] == "poisson":
-        acc["rate"] += margin.rate
-    else:
-        acc["probs"] += margin.probs
-
-
-def _margin_mean(acc: dict, r: int) -> mg.MarginParams:
-    if acc["family"] == "gaussian":
-        return mg.GaussianMargin(acc["mu"] / r, acc["sigma"] / r)
-    if acc["family"] == "poisson":
-        return mg.PoissonMargin(acc["rate"] / r)
-    probs = acc["probs"] / r
-    return mg.OrdinalMargin(probs / probs.sum())
-
-
-def _draw_snapshot(params: MixtureParams) -> dict:
-    return {
-        "pi": [float(v) for v in params.proportions],
-        "components": [
-            {
-                "margins": [_snapshot_margin(m) for m in comp.margins],
-                "correlation": [[float(v) for v in row]
-                                for row in comp.correlation],
-            }
-            for comp in params.components
-        ],
-    }
-
-
-def _snapshot_margin(margin: mg.MarginParams) -> dict:
-    if isinstance(margin, mg.GaussianMargin):
-        return {"family": "gaussian", "mu": float(margin.mu),
-                "sigma": float(margin.sigma)}
-    if isinstance(margin, mg.PoissonMargin):
-        return {"family": "poisson", "rate": float(margin.rate)}
-    return {"family": "multinomial", "probs": [float(p) for p in margin.probs]}
+        for corr, margin_sums in zip(self.corr, self.margin_sums):
+            margins = []
+            for sums in margin_sums:
+                doc = {key: value if key == "family" else value / r
+                       for key, value in sums.items()}
+                if "probs" in doc:
+                    doc["probs"] = doc["probs"] / doc["probs"].sum()
+                margins.append(mg.margin_from_dict(doc))
+            comps.append(ComponentParams(
+                gauss.normalize_to_correlation(corr / r), tuple(margins)))
+        return MixtureParams(self.pi / self.pi.sum(), tuple(comps), family)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +544,7 @@ def run_chain(dataset: MixedDataset, config: ChainConfig,
                 agreement.append(float(np.mean(state.z == prev_z)))
             prev_z = state.z
             if config.keep_draws and (it - config.burn_in) % config.thin == 0:
-                draws.append(_draw_snapshot(params))
+                draws.append(_params_doc(params))
 
     estimate = acc.mean(config.family)
     posterior, _, log_density = posterior_and_logpdf_rows(values, estimate,

@@ -10,20 +10,17 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import sampler as sp
-from .model import (
-    HETEROSCEDASTIC, HOMOSCEDASTIC, INDEPENDENT, MixtureParams,
-    mixture_logpdf_rows, posterior_probs_rows,
-)
+from .model import HETEROSCEDASTIC, HOMOSCEDASTIC, INDEPENDENT
 from .schema import MixedDataset, Schema
 
 __all__ = [
     "CriterionCell", "CriterionReport",
-    "param_count", "observed_loglik", "bic", "icl", "entropy_term",
+    "param_count", "bic", "icl", "entropy_term",
     "sweep", "format_report",
 ]
 
@@ -55,14 +52,6 @@ def param_count(schema: Schema, g: int, family: str) -> int:
     elif family != INDEPENDENT:
         raise ValueError(f"unknown correlation family {family!r}")
     return nu
-
-
-def observed_loglik(dataset: MixedDataset, params: MixtureParams,
-                    rng: np.random.Generator | None = None,
-                    rel_tol: float = 1e-4) -> float:
-    """Observed-data log-likelihood, summed over rows."""
-    return float(mixture_logpdf_rows(dataset.values, params,
-                                     rng=rng, rel_tol=rel_tol).sum())
 
 
 def bic(loglik: float, nu: int, n: int) -> float:
@@ -130,8 +119,7 @@ def _is_degenerate(result: sp.FitResult, n: int) -> bool:
 
 
 def sweep(dataset: MixedDataset, g_values, families,
-          config: sp.ChainConfig | None = None, **config_overrides
-          ) -> CriterionReport:
+          config: sp.ChainConfig | None = None) -> CriterionReport:
     """Fit every (family, g) combination and tabulate the criteria.
 
     A combination whose fit collapses (sampler failure, non-finite
@@ -150,15 +138,8 @@ def sweep(dataset: MixedDataset, g_values, families,
     for family in families:
         for g in g_values:
             nu = param_count(dataset.schema, g, family)
-            cfg_kwargs = dict(
-                g=g, family=family, iterations=base.iterations,
-                burn_in=base.burn_in, seed=base.seed, n_chains=base.n_chains,
-                thin=base.thin, keep_draws=base.keep_draws,
-            )
-            cfg_kwargs.update(config_overrides)
-            cfg = sp.ChainConfig(**cfg_kwargs)
             try:
-                result = sp.fit(dataset, cfg)
+                result = sp.fit(dataset, replace(base, g=g, family=family))
                 degenerate = _is_degenerate(result, n)
             except (sp.DegenerateFitError, ArithmeticError) as exc:
                 warnings.warn(f"{family} g={g}: {exc}", RuntimeWarning,
@@ -171,9 +152,9 @@ def sweep(dataset: MixedDataset, g_values, families,
                                            float("nan"), True))
                 continue
             b = bic(result.loglik, nu, n)
-            ent = entropy_term(result.posterior)
-            cells.append(CriterionCell(family, g, result.loglik, nu,
-                                       b, b + ent, ent, False))
+            cells.append(CriterionCell(family, g, result.loglik, nu, b,
+                                       icl(b, result.posterior),
+                                       entropy_term(result.posterior), False))
     return CriterionReport(tuple(cells))
 
 

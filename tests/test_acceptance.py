@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import random_correlation_matrix
+
 from copulamix import (
-    evaluate as ev, gauss, margins as mg, model as mx, sampler as sp,
+    evaluate as ev, margins as mg, model as mx, sampler as sp,
     selection as sel, viz,
 )
 from copulamix.schema import (
@@ -27,7 +29,7 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def random_component(rng, c, d, max_levels=4):
     dim = c + d
-    corr = gauss.random_correlation_matrix(dim, rng)
+    corr = random_correlation_matrix(dim, rng)
     margins = []
     for _ in range(c):
         margins.append(mg.GaussianMargin(rng.normal(), rng.uniform(0.5, 2.0)))
@@ -66,7 +68,7 @@ class TestIndependenceFactorization:
             comp = mx.ComponentParams(np.eye(comp.dim), comp.margins)
             x = random_observation(rng, comp)
             joint = mx.component_logpdf(x, comp, rng=rng)
-            product = sum(mg.margin_logpdf(x[j], m)
+            product = sum(mg.logpdf_array(x[j], m)
                           for j, m in enumerate(comp.margins))
             assert joint == pytest.approx(product, abs=1e-10)
         assert time.perf_counter() - start < 10.0
@@ -313,7 +315,7 @@ class TestSamplerInvariants:
             family = (mx.INDEPENDENT, mx.HOMOSCEDASTIC,
                       mx.HETEROSCEDASTIC)[trial % 3]
             comps = []
-            shared = gauss.random_correlation_matrix(c + d, rng)
+            shared = random_correlation_matrix(c + d, rng)
             # all components must share one margin family per column
             discrete_plan = [("poisson" if rng.random() < 0.5 else
                               int(rng.integers(2, 4))) for _ in range(d)]
@@ -333,7 +335,7 @@ class TestSamplerInvariants:
                 elif family == mx.HOMOSCEDASTIC:
                     corr = shared
                 else:
-                    corr = gauss.random_correlation_matrix(c + d, rng)
+                    corr = random_correlation_matrix(c + d, rng)
                 comps.append(mx.ComponentParams(corr, tuple(margins)))
             pi = rng.dirichlet(np.full(g, 5.0))
             params = mx.MixtureParams(pi, tuple(comps), family)
@@ -398,7 +400,7 @@ class TestVisualizationGuarantees:
         # spectral identities on random correlation matrices
         for _ in range(100):
             dim = int(rng.integers(2, 6))
-            corr = gauss.random_correlation_matrix(dim, rng)
+            corr = random_correlation_matrix(dim, rng)
             pca = viz.component_pca(corr)
             recon = pca.axes @ np.diag(pca.eigenvalues) @ pca.axes.T
             np.testing.assert_allclose(recon, corr, atol=1e-10)

@@ -6,6 +6,8 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import ndtr
 
+from conftest import random_correlation_matrix
+
 from copulamix import gauss, margins as mg, model as mx
 
 
@@ -42,28 +44,13 @@ class TestLinearAlgebra:
     def test_random_correlation_matrix_valid(self):
         rng = np.random.default_rng(0)
         for dim in (1, 2, 5):
-            corr = gauss.random_correlation_matrix(dim, rng)
+            corr = random_correlation_matrix(dim, rng)
             assert gauss.is_correlation_matrix(corr)
-
-    def test_conditional_gaussian_matches_block_formula(self):
-        rng = np.random.default_rng(1)
-        cov = gauss.random_correlation_matrix(4, rng)
-        y_given = np.array([0.3, -0.7])
-        mean, cond = gauss.conditional_gaussian(cov, [0, 1], [2, 3], y_given)
-        block = cov[:2, 2:] @ np.linalg.inv(cov[2:, 2:])
-        np.testing.assert_allclose(mean, block @ y_given, atol=1e-12)
-        np.testing.assert_allclose(cond, cov[:2, :2] - block @ cov[2:, :2],
-                                   atol=1e-12)
-
-    def test_conditional_gaussian_disjointness(self):
-        with pytest.raises(ValueError):
-            gauss.conditional_gaussian(np.eye(3), [0, 1], [1, 2],
-                                       np.zeros(2))
 
     def test_mvn_logpdf_rows_matches_scipy(self):
         rng = np.random.default_rng(2)
         for e in (1, 2, 3, 4, 5):
-            cov = gauss.random_correlation_matrix(e, rng)
+            cov = random_correlation_matrix(e, rng)
             y = rng.normal(size=(10, e))
             np.testing.assert_allclose(
                 gauss.mvn_logpdf_rows(y, cov),
@@ -107,8 +94,9 @@ class TestInverseWishart:
 class TestTruncatedNormal:
     def test_in_bounds_far_tail(self):
         rng = np.random.default_rng(5)
-        draws = np.array([gauss.truncated_univariate_normal_sample(
-            0.0, 1.0, 12.0, 13.0, rng) for _ in range(500)])
+        draws = gauss.truncated_normal_rows(np.zeros(500), 1.0, 12.0, 13.0,
+                                            rng)
+        assert draws.shape == (500,)
         assert np.all((draws >= 12.0) & (draws <= 13.0))
 
     def test_moments_match_scipy(self):
@@ -129,39 +117,6 @@ class TestTruncatedNormal:
         dist = stats.truncnorm(-np.inf, -1.0)
         assert np.all(draws <= -1.0)
         assert draws.mean() == pytest.approx(dist.mean(), abs=0.02)
-
-    def test_gibbs_rows_moments(self):
-        rng = np.random.default_rng(8)
-        cov = np.array([[1.0, 0.6], [0.6, 1.0]])
-        n = 40000
-        lo = np.tile([0.0, -1.0], (n, 1))
-        hi = np.tile([2.0, 0.5], (n, 1))
-        draws = gauss.truncated_mvn_gibbs_rows(cov, np.zeros((n, 2)),
-                                               lo, hi, rng, sweeps=15)
-        assert np.all((draws > lo) & (draws < hi))
-        z = rng.multivariate_normal([0, 0], cov, size=2_000_000)
-        keep = z[np.all((z > lo[0]) & (z < hi[0]), axis=1)]
-        np.testing.assert_allclose(draws.mean(0), keep.mean(0), atol=0.01)
-        np.testing.assert_allclose(np.cov(draws.T), np.cov(keep.T), atol=0.01)
-
-    def test_gibbs_rows_shared_coefficients(self):
-        cov = np.array([[1.0, 0.6, -0.2], [0.6, 1.0, 0.1], [-0.2, 0.1, 1.0]])
-        lo = np.tile([0.0, -1.0, -np.inf], (50, 1))
-        hi = np.tile([2.0, 0.5, 0.3], (50, 1))
-        means = np.random.default_rng(10).normal(size=(50, 3))
-        plain = gauss.truncated_mvn_gibbs_rows(cov, means, lo, hi,
-                                               np.random.default_rng(11))
-        shared = gauss.truncated_mvn_gibbs_rows(
-            cov, means, lo, hi, np.random.default_rng(11),
-            coefficients=gauss.gibbs_coefficients(cov))
-        np.testing.assert_array_equal(plain, shared)
-
-    def test_single_sample_wrapper(self):
-        rng = np.random.default_rng(9)
-        cov = np.array([[1.0, 0.3], [0.3, 1.0]])
-        box = gauss.Box([0.0, 0.0], [1.0, 1.0])
-        x = gauss.truncated_mvn_sample(np.zeros(2), cov, box, rng)
-        assert np.all((x > 0.0) & (x < 1.0))
 
 
 class TestBvnRectangle:
@@ -201,7 +156,7 @@ class TestBoxProbabilities:
     def test_dimension_dispatch(self):
         rng = np.random.default_rng(10)
         for d in (1, 2, 3, 4, 5):
-            cov = gauss.random_correlation_matrix(d, rng)
+            cov = random_correlation_matrix(d, rng)
             a = rng.normal(size=d) - 1.0
             b = a + rng.exponential(size=d) + 0.5
             value, err = gauss.box_probabilities(cov, a[None, :], b[None, :],
@@ -220,16 +175,16 @@ class TestBoxProbabilities:
     def test_full_box_is_one(self):
         rng = np.random.default_rng(11)
         for d in (2, 3, 4):
-            cov = gauss.random_correlation_matrix(d, rng)
-            box = gauss.Box.full(d)
-            res = gauss.box_probability(np.zeros(d), cov, box, rng)
-            assert res.value == pytest.approx(1.0, abs=1e-6)
+            cov = random_correlation_matrix(d, rng)
+            value, _ = gauss.box_probabilities(cov, np.full((3, d), -np.inf),
+                                               np.full((3, d), np.inf), rng)
+            np.testing.assert_allclose(value, 1.0, atol=1e-6)
 
     def test_qmc_error_estimate_honest(self):
         rng = np.random.default_rng(12)
         misses = 0
         for _ in range(30):
-            cov = gauss.random_correlation_matrix(4, rng)
+            cov = random_correlation_matrix(4, rng)
             a = rng.normal(size=4) - 1.0
             b = a + rng.exponential(size=4) + 0.3
             value, err = gauss.box_probabilities(cov, a[None, :], b[None, :],
@@ -242,7 +197,7 @@ class TestBoxProbabilities:
     def _qmc_rows(self, rng, n):
         """d = 4 boxes from central to far out; each row's first lower bound
         is distinct so a row can be recognized in a subset."""
-        cov = gauss.random_correlation_matrix(4, rng)
+        cov = random_correlation_matrix(4, rng)
         a = rng.normal(size=(n, 4)) * 1.5 - 1.0
         a[:, 0] += np.arange(n) * 1e-6
         b = a + rng.exponential(size=(n, 4)) + 0.3
@@ -289,7 +244,7 @@ class TestBoxProbabilities:
 
     def test_many_rows_share_covariance(self):
         rng = np.random.default_rng(13)
-        cov = gauss.random_correlation_matrix(2, rng)
+        cov = random_correlation_matrix(2, rng)
         a = rng.normal(size=(50, 2)) - 1.0
         b = a + 1.0
         values, _ = gauss.box_probabilities(cov, a, b, rng)
@@ -368,6 +323,66 @@ class TestLogGaussianInterval:
     def test_empty_interval(self):
         assert gauss.log_gaussian_interval(np.array([1.0]),
                                            np.array([1.0]))[0] == -np.inf
+
+
+class TestGhkRows:
+    """The sampler's proposal kernel: the GHK weight w is an unbiased
+    estimate of the box probability, and scoring a point gives back the
+    weight of the draw that produced it."""
+
+    @staticmethod
+    def _box(dim):
+        lo = np.array([-0.4, -np.inf, 0.2])[:dim]
+        hi = np.array([1.1, 0.3, np.inf])[:dim]
+        return lo, hi
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mean_weight_is_box_probability(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        cov = random_correlation_matrix(dim, rng)
+        lo, hi = self._box(dim)
+        mean = np.array([0.3, -0.2, 0.5])[:dim]
+        n = 200_000
+        rows = np.ones((n, 1))
+        _, log_w = gauss.ghk_rows(gauss.chol_spd(cov), mean * rows,
+                                  lo * rows, hi * rows, rng)
+        w = np.exp(log_w)
+        exact, _ = gauss.box_probabilities(cov, (lo - mean)[None, :],
+                                           (hi - mean)[None, :])
+        assert abs(w.mean() - exact[0]) < 4 * w.std(ddof=1) / np.sqrt(n)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_score_returns_the_draws_weight(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        chol = gauss.chol_spd(random_correlation_matrix(dim, rng))
+        lo, hi = self._box(dim)
+        mean = rng.normal(size=(500, dim))
+        lo = np.broadcast_to(lo, mean.shape)
+        hi = np.broadcast_to(hi, mean.shape)
+        y, log_w = gauss.ghk_rows(chol, mean, lo, hi, rng)
+        assert np.all((y >= lo) & (y <= hi))
+        _, scored = gauss.ghk_rows(chol, mean, lo, hi, y=y)
+        np.testing.assert_allclose(scored, log_w, rtol=1e-12, atol=1e-12)
+
+    def test_point_outside_its_box_scores_minus_inf(self):
+        chol = gauss.chol_spd(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        lo = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        hi = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        y = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, -0.1]])
+        _, log_w = gauss.ghk_rows(chol, np.zeros((3, 2)), lo, hi, y=y)
+        assert np.isfinite(log_w[0])
+        assert np.all(log_w[1:] == -np.inf)
+
+    def test_one_dimension_weight_is_interval_mass(self):
+        rng = np.random.default_rng(60)
+        sd = 1.7
+        mean = rng.normal(size=(len(KERNEL_INTERVALS), 1))
+        lo = np.array([[a] for a, _ in KERNEL_INTERVALS])
+        hi = np.array([[b] for _, b in KERNEL_INTERVALS])
+        _, log_w = gauss.ghk_rows(np.array([[sd]]), mean, lo, hi, rng)
+        expected = gauss.log_gaussian_interval((lo - mean)[:, 0] / sd,
+                                               (hi - mean)[:, 0] / sd)
+        np.testing.assert_array_equal(log_w, expected)
 
 
 def tallis_bivariate(cov, lower, upper):
@@ -460,7 +475,7 @@ class TestGhkMeans:
     @pytest.mark.parametrize("dim", [3, 4])
     def test_matches_rejection_reference(self, dim):
         rng = np.random.default_rng(dim)
-        cov = gauss.random_correlation_matrix(dim, rng)
+        cov = random_correlation_matrix(dim, rng)
         lo = rng.uniform(-1.5, 0.5, size=(12, dim))
         hi = lo + rng.uniform(0.8, 2.5, size=(12, dim))
         lo[rng.random((12, dim)) < 0.3] = -np.inf

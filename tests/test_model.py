@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from copulamix import gauss, margins as mg, model as mx
+from conftest import random_correlation_matrix
+
+from copulamix import margins as mg, model as mx
 
 
 def example_components():
@@ -26,7 +28,7 @@ def example_mixture():
 
 def random_component(rng, c, d):
     e = c + d
-    corr = gauss.random_correlation_matrix(e, rng) if e > 1 else np.eye(1)
+    corr = random_correlation_matrix(e, rng) if e > 1 else np.eye(1)
     margins = [mg.GaussianMargin(rng.normal(), 0.3 + rng.exponential())
                for _ in range(c)]
     for _ in range(d):
@@ -112,14 +114,14 @@ class TestComponentLogpdf:
             ds, _, _ = mx.generate(
                 1, mx.MixtureParams(np.array([1.0]), (comp_ind,)), rng)
             x = ds.values[0]
-            expected = sum(mg.margin_logpdf(x[j], comp.margins[j])
+            expected = sum(mg.logpdf_array(x[j], comp.margins[j])
                            for j in range(comp.dim))
             assert mx.component_logpdf(x, comp_ind, rng) == \
                 pytest.approx(expected, abs=1e-10)
 
     def test_all_continuous_is_mvn(self):
         rng = np.random.default_rng(1)
-        corr = gauss.random_correlation_matrix(3, rng)
+        corr = random_correlation_matrix(3, rng)
         mus = np.array([0.0, 1.0, -1.0])
         sds = np.array([1.0, 2.0, 0.5])
         comp = mx.ComponentParams(corr, tuple(

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import random_correlation_matrix
+
 from copulamix import gauss, margins as mg, model as mx, sampler as sp
 from copulamix.schema import MixedDataset, Schema, continuous, integer, ordinal
 
@@ -188,7 +190,7 @@ class TestStepLatent:
         # d = 7 is past the dimension where box probabilities need
         # quasi-Monte Carlo; the move computes none of them
         rng = np.random.default_rng(8)
-        corr = gauss.random_correlation_matrix(8, rng)
+        corr = random_correlation_matrix(8, rng)
         margins = (mg.GaussianMargin(0.0, 1.0),) + tuple(
             mg.PoissonMargin(2.0) if j % 2 else mg.OrdinalMargin([0.3, 0.7])
             for j in range(7))
@@ -328,12 +330,16 @@ class TestLatentStepLaw:
     "Getting it right").  With the parameters fixed, the stationary law of
     (z, y) under repeated ``step_latent`` must be p(z | x) times the
     box-truncated conditional normal of y given z.  Each chosen row is
-    copied into many independent chains; thinned draws of those chains are
-    compared with exact draws: a binomial test on the label and a two-sample
-    KS test per discrete coordinate and label.  A kernel that warm-starts
-    relabelled rows from the old component's coordinates fails this test."""
+    copied into many independent chains and the last state of each chain
+    is one draw, so the draws are independent.  They are compared with
+    exact draws: a binomial test on the label and a two-sample KS test per
+    discrete coordinate and label.  The burn-in is long enough that fewer
+    than 1/replicas of the chains keep their initial state, which bounds
+    the share that never accepted a move.  A kernel that warm-starts
+    relabelled rows from the old component's coordinates, or one that
+    accepts every proposal, fails this test."""
 
-    replicas, burn_in, kept, thin = 250, 10, 8, 5
+    replicas, burn_in = 2000, 60
     min_p = 1e-4
 
     @pytest.mark.parametrize("case", [_mixed_latent_case,
@@ -349,14 +355,17 @@ class TestLatentStepLaw:
         values = np.repeat(rows, self.replicas, axis=0)
         rng = np.random.default_rng(2004)
         state = sp.initial_latent_state(values, params, rng)
-        zs, ys = [], []
-        for it in range(self.burn_in + self.kept * self.thin):
-            state, _, _ = sp.step_latent(values, params, state, rng)
-            if it >= self.burn_in and (it - self.burn_in) % self.thin == 0:
-                zs.append(state.z.reshape(m, self.replicas))
-                ys.append(state.y.reshape(m, self.replicas, -1))
-        z = np.concatenate(zs, axis=1)
-        y = np.concatenate(ys, axis=1)
+        moved = np.zeros(values.shape[0], dtype=bool)
+        for _ in range(self.burn_in):
+            new, _, _ = sp.step_latent(values, params, state, rng)
+            moved |= (new.z != state.z) | np.any(new.y != state.y, axis=1)
+            state = new
+        # an accepted move changes the state unless d = 0 and the label
+        # repeats, so this share bounds the share that never accepted
+        unmoved = 1.0 - moved.mean()
+        assert unmoved < 1.0 / self.replicas, unmoved
+        z = state.z.reshape(m, self.replicas)
+        y = state.y.reshape(m, self.replicas, -1)
 
         ref_rng = np.random.default_rng(799)
         for i in range(m):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from copulamix import gauss, margins as mg, model as mx, viz
+from conftest import random_correlation_matrix
+
+from copulamix import margins as mg, model as mx, viz
 
 
 def example_mixture():
@@ -21,14 +23,14 @@ class TestComponentPca:
     def test_reconstruction(self):
         rng = np.random.default_rng(0)
         for dim in (2, 3, 5):
-            corr = gauss.random_correlation_matrix(dim, rng)
+            corr = random_correlation_matrix(dim, rng)
             pca = viz.component_pca(corr)
             recon = pca.axes @ np.diag(pca.eigenvalues) @ pca.axes.T
             np.testing.assert_allclose(recon, corr, atol=1e-10)
 
     def test_descending_and_normalized(self):
         rng = np.random.default_rng(1)
-        corr = gauss.random_correlation_matrix(4, rng)
+        corr = random_correlation_matrix(4, rng)
         pca = viz.component_pca(corr)
         assert np.all(np.diff(pca.eigenvalues) <= 1e-12)
         assert pca.eigenvalues.sum() == pytest.approx(4.0)
@@ -39,7 +41,7 @@ class TestComponentPca:
     def test_sign_convention(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            corr = gauss.random_correlation_matrix(3, rng)
+            corr = random_correlation_matrix(3, rng)
             pca = viz.component_pca(corr)
             for a in range(3):
                 col = pca.axes[:, a]
@@ -63,7 +65,7 @@ class TestCorrelationCircle:
         rng = np.random.default_rng(3)
         for _ in range(100):
             dim = int(rng.integers(2, 6))
-            corr = gauss.random_correlation_matrix(dim, rng)
+            corr = random_correlation_matrix(dim, rng)
             pca = viz.component_pca(corr)
             load = viz.correlation_circle(pca)
             norms = np.linalg.norm(load, axis=1)
@@ -71,7 +73,7 @@ class TestCorrelationCircle:
 
     def test_full_loading_matrix_reproduces_correlation(self):
         rng = np.random.default_rng(4)
-        corr = gauss.random_correlation_matrix(3, rng)
+        corr = random_correlation_matrix(3, rng)
         pca = viz.component_pca(corr)
         full = pca.axes * np.sqrt(pca.eigenvalues)
         np.testing.assert_allclose(full @ full.T, corr, atol=1e-10)
