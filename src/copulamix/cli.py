@@ -67,8 +67,6 @@ def _ensure_outdir(path: str) -> str:
 
 def _chain_config(args, g: int, family: str, keep_draws: bool = False,
                   thin: int = 1) -> sp.ChainConfig:
-    if g < 1:
-        raise UsageError("g must be >= 1")
     try:
         return sp.ChainConfig(
             g=g, family=family, iterations=args.iters, burn_in=args.burnin,
@@ -216,8 +214,6 @@ def cmd_visualize(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.study not in ("example1", "karlis"):
-        raise UsageError(f"unknown study {args.study!r}")
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
@@ -302,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_visualize)
 
     p = sub.add_parser("eval", help="run a canned simulation study")
-    p.add_argument("--study", required=True)
+    p.add_argument("--study", required=True, choices=("example1", "karlis"))
     p.add_argument("--sizes", default="100,400,1600")
     p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--family", default=HETEROSCEDASTIC,
@@ -315,8 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on misuse
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
     except (UsageError, SchemaError, DataError, FileNotFoundError,

@@ -17,10 +17,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from . import margins as mg, sampler as sp
-from .model import (
-    ComponentParams, MixtureParams, generate, mixture_logpdf_rows,
-    standardize_continuous,
-)
+from .model import ComponentParams, MixtureParams, generate, mixture_logpdf_rows
 from .schema import MixedDataset, Schema, integer
 
 __all__ = [
@@ -182,7 +179,8 @@ def oracle_logpdf_quadrature(x: np.ndarray, component: ComponentParams,
 
     log_cont = 0.0
     if c:
-        y_c = standardize_continuous(x[:c], component)
+        y_c = np.array([(x[j] - m.mu) / m.sigma
+                        for j, m in enumerate(component.margins[:c])])
         cov_cc = corr[:c, :c]
         chol = np.linalg.cholesky(cov_cc)
         sol = np.linalg.solve(chol, y_c)
@@ -195,7 +193,7 @@ def oracle_logpdf_quadrature(x: np.ndarray, component: ComponentParams,
     lo = np.empty(d)
     hi = np.empty(d)
     for j, margin in enumerate(component.margins[c:]):
-        lo[j], hi[j] = mg.latent_bounds(x[c + j], margin)
+        (lo[j],), (hi[j],) = mg.latent_bounds_arrays(x[c + j:c + j + 1], margin)
     if c:
         coef = np.linalg.solve(corr[:c, :c], corr[:c, c:])
         mean = y_c @ coef
@@ -279,63 +277,34 @@ def karlis_params() -> BivPoissonMixtureParams:
                                              [4.0, 5.0, 6.0]]))
 
 
-def _fit_metrics_copula(dataset: MixedDataset, labels_true: np.ndarray,
-                        truth: MixtureParams, config: sp.ChainConfig,
-                        rng: np.random.Generator, n_kl: int) -> dict:
-    result = sp.fit(dataset, config)
-    est = result.params
-
-    def sample_true(m, r):
-        ds, _, _ = generate(m, truth, r)
-        return ds.values
-
-    kl, kl_se, dropped = kl_divergence_mc(
-        sample_true,
-        lambda v: mixture_logpdf_rows(v, truth, rng=rng),
-        lambda v: mixture_logpdf_rows(v, est, rng=rng),
-        n_kl, rng)
-    err = misclassification_rate(result.labels, labels_true)
-    # report component estimates aligned to the true labels
-    k1 = _align_first_component(result.labels, labels_true, truth.g)
-    comp = est.components[k1]
-    return {
-        "kl": kl, "kl_se": kl_se, "kl_dropped": dropped,
-        "misclassification": err,
-        "corr12": float(comp.correlation[0, 1]),
-        "margin_param": float(comp.margins[0].mu),
-    }
-
-
 def _align_first_component(labels_est, labels_true, g: int) -> int:
     _, rows, cols = _label_matching(labels_est, labels_true, g)
     mapping = dict(zip(cols, rows))
     return int(mapping[0])
 
 
-def _fit_metrics_karlis(dataset: MixedDataset, labels_true: np.ndarray,
-                        truth: BivPoissonMixtureParams,
-                        config: sp.ChainConfig, rng: np.random.Generator,
-                        n_kl: int) -> dict:
+def _fit_metrics(dataset: MixedDataset, labels_true: np.ndarray,
+                 sample_true, logpdf_true, margin_param: str,
+                 config: sp.ChainConfig, rng: np.random.Generator,
+                 n_kl: int) -> dict:
+    """Fit ``dataset`` and score the estimate against the truth, given by
+    its sampler ``sample_true(m, rng)`` and vectorized log density; the
+    reported margin number is attribute ``margin_param`` of the first
+    margin of the component matched to true component 1."""
     result = sp.fit(dataset, config)
     est = result.params
-
-    def sample_true(m, r):
-        ds, _ = bivariate_poisson_mixture_generate(truth, m, r)
-        return ds.values
-
     kl, kl_se, dropped = kl_divergence_mc(
-        sample_true,
-        lambda v: bivariate_poisson_mixture_logpmf(v, truth),
+        sample_true, logpdf_true,
         lambda v: mixture_logpdf_rows(v, est, rng=rng),
         n_kl, rng)
     err = misclassification_rate(result.labels, labels_true)
-    k1 = _align_first_component(result.labels, labels_true, truth.g)
+    k1 = _align_first_component(result.labels, labels_true, config.g)
     comp = est.components[k1]
     return {
         "kl": kl, "kl_se": kl_se, "kl_dropped": dropped,
         "misclassification": err,
         "corr12": float(comp.correlation[0, 1]),
-        "margin_param": float(comp.margins[0].rate),
+        "margin_param": float(getattr(comp.margins[0], margin_param)),
     }
 
 
@@ -366,13 +335,19 @@ def run_simulation_study(study: str, sample_sizes, replicates: int,
                 if study == "example1":
                     truth = example1_params()
                     ds, z, _ = generate(int(n), truth, rng)
-                    metrics = _fit_metrics_copula(ds, z, truth, cfg, rng, n_kl)
+                    metrics = _fit_metrics(
+                        ds, z, lambda m, r: generate(m, truth, r)[0].values,
+                        lambda v: mixture_logpdf_rows(v, truth, rng=rng),
+                        "mu", cfg, rng, n_kl)
                 else:
                     truth = karlis_params()
                     ds, z = bivariate_poisson_mixture_generate(truth, int(n),
                                                                rng)
-                    metrics = _fit_metrics_karlis(ds, z, truth, cfg, rng,
-                                                  n_kl)
+                    metrics = _fit_metrics(
+                        ds, z, lambda m, r: bivariate_poisson_mixture_generate(
+                            truth, m, r)[0].values,
+                        lambda v: bivariate_poisson_mixture_logpmf(v, truth),
+                        "rate", cfg, rng, n_kl)
             except (sp.DegenerateFitError, ArithmeticError) as exc:
                 warnings.warn(f"{study} n={n} replicate {rep}: {exc}",
                               RuntimeWarning, stacklevel=2)

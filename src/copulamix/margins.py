@@ -4,9 +4,10 @@ Three families: Gaussian for continuous columns, Poisson for integer columns,
 ordered multinomial for ordinal columns.  Besides vectorized density, cdf and
 quantile, each discrete family exposes the latent interval (b_lo, b_hi] that
 a standard normal coordinate must fall in to reproduce a given observed
-value.  ``margin_to_dict`` and ``margin_from_dict`` are the one JSON codec of
-a margin, shared by the parameter file, the stored draws and the
-posterior-mean accumulator.
+value; it is computed per element, so callers pass a column's distinct
+values and gather to the rows.  ``margin_to_dict`` and ``margin_from_dict``
+are the one JSON codec of a margin, shared by the parameter file, the
+stored draws and the posterior-mean accumulator.
 
 Priors follow the usual conjugate choices with empirically fixed
 hyper-parameters: normal-inverse-gamma for the Gaussian margin, gamma (shape,
@@ -27,7 +28,7 @@ __all__ = [
     "GaussianNIGPrior", "PoissonGammaPrior", "OrdinalDirichletPrior",
     "MarginPrior", "SupportError",
     "cdf_array", "logpdf_array", "quantile_array",
-    "latent_bounds", "latent_bounds_arrays",
+    "latent_bounds_arrays",
     "margin_to_dict", "margin_from_dict",
     "default_prior", "conjugate_posterior_sample",
 ]
@@ -174,33 +175,23 @@ def _poisson_log_sf(k, rate: float) -> np.ndarray:
     return (k + 1.0) * np.log(rate) - rate - gammaln(k + 2.0) + np.log(total)
 
 
-def latent_bounds(x, margin: MarginParams) -> tuple[float, float]:
-    """Latent interval (b_lo, b_hi] of a discrete margin at support point x.
-
-    The standard normal measure of the interval equals the margin mass at x;
-    the first support point opens at -inf and the last closes at +inf.
-    """
-    lo, hi = latent_bounds_arrays(np.ravel(x)[:1], margin)
-    return float(lo[0]), float(hi[0])
-
-
 def latent_bounds_arrays(x, margin: MarginParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized latent bounds for a whole column of discrete observations.
+    """Latent intervals (b_lo, b_hi] of a discrete margin at support points x.
 
-    The cdf and its normal quantile are evaluated once per distinct support
-    value: the observed counts of a Poisson margin, the ``levels + 1``
-    cutpoints of an ordinal one.  Poisson scores above the median come from
-    the upper tail, in log space where it underflows, so a large count keeps
-    a finite, non-empty interval.
+    The standard normal measure of each interval equals the margin mass at
+    its point; the first support point opens at -inf and the last closes at
+    +inf.  The work is per element of x, so a caller with a whole column
+    passes its distinct values (``model.discrete_index``) and gathers.
+    Poisson scores above the median come from the upper tail, in log space
+    where it underflows, so a large count keeps a finite, non-empty
+    interval.
     """
     if not is_discrete(margin):
         raise SupportError("latent bounds are defined for discrete margins only")
     x = np.asarray(x, dtype=float)
     _check_support(x, margin)
     if isinstance(margin, PoissonMargin):
-        values, index = np.unique(x, return_inverse=True)
-        index = index.reshape(x.shape)
-        k = np.concatenate([values - 1.0, values])
+        k = np.stack([x - 1.0, x])
         cdf = cdf_array(k, margin)
         sf = pdtrc(k, margin.rate)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -208,7 +199,7 @@ def latent_bounds_arrays(x, margin: MarginParams) -> tuple[np.ndarray, np.ndarra
         far = sf < np.finfo(float).tiny  # there cdf rounds to 1
         if far.any():
             scores[far] = -ndtri_exp(_poisson_log_sf(k[far], margin.rate))
-        return scores[:values.size][index], scores[values.size:][index]
+        return scores[0], scores[1]
     with np.errstate(divide="ignore"):
         cuts = ndtri(cdf_array(np.arange(margin.levels + 1.0), margin))
     level = x.astype(int)

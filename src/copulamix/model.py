@@ -5,7 +5,13 @@ Gaussian vector: continuous coordinates are an invertible rescaling of their
 latent value, discrete coordinates are observed as the interval the latent
 value falls into.  The component density therefore factors into a Gaussian
 density on the standardized continuous block and a rectangle probability for
-the discrete block conditional on it.
+the discrete block conditional on it.  ``latent_geometry`` is the one
+builder of that per-component geometry (standardized continuous block and
+its density, discrete latent boxes, conditional discrete block) for
+scoring, the sampler's latent move and the visualization.  It reads each
+discrete column through ``discrete_index``, the column's sorted support
+and each row's position in it, so latent bounds are computed once per
+distinct value.
 
 Three correlation families are supported: ``independent`` (every matrix is
 the identity, so the model collapses to a locally independent mixture),
@@ -29,7 +35,7 @@ __all__ = [
     "FAMILIES", "INDEPENDENT", "HOMOSCEDASTIC", "HETEROSCEDASTIC",
     "LOG_DENSITY_FLOOR",
     "ComponentParams", "MixtureParams", "LatentState",
-    "standardize_continuous", "latent_boxes", "conditional_block",
+    "discrete_index", "latent_geometry",
     "component_logpdf", "component_logpdf_rows",
     "mixture_logpdf", "mixture_logpdf_rows",
     "posterior_probs", "posterior_probs_rows", "posterior_and_logpdf_rows",
@@ -193,43 +199,46 @@ def schema_of(params: MixtureParams, names: tuple[str, ...] | None = None) -> Sc
 # ---------------------------------------------------------------------------
 # densities
 
-def standardize_continuous(x_c: np.ndarray, component: ComponentParams) -> np.ndarray:
-    """Map the continuous sub-vector to its latent value, (x - mu) / sigma."""
-    x_c = np.asarray(x_c, dtype=float)
-    c = component.n_continuous
-    if x_c.shape[-1] != c:
-        raise ValueError("continuous sub-vector length mismatch")
-    if c == 0:
-        return x_c
+def discrete_index(values: np.ndarray, c: int
+                   ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(sorted support, row index) of each discrete column of ``values``,
+    the columns after the first ``c``: its distinct values, and per row the
+    position of the row's value among them."""
+    return tuple(np.unique(values[:, j], return_inverse=True)
+                 for j in range(c, values.shape[1]))
+
+
+def latent_geometry(values: np.ndarray, index, component: ComponentParams):
+    """The latent geometry of one component at every row of ``values``.
+
+    ``index`` is the ``discrete_index`` of ``values``; each discrete
+    column's latent bounds are computed on its support and gathered to the
+    rows.  Returns (y_c, log_cont, lower, upper, mean, cov): the
+    standardized continuous block (n, c); its log density, Jacobian
+    -sum(log sigma) included (n,); the discrete latent boxes (n, d); and
+    the mean (n, d) and covariance (d, d) of the discrete latent block
+    given y_c.
+    """
+    n = values.shape[0]
+    c, d = component.n_continuous, component.n_discrete
+    corr = component.correlation
     mu = np.array([m.mu for m in component.margins[:c]])
     sigma = np.array([m.sigma for m in component.margins[:c]])
-    return (x_c - mu) / sigma
-
-
-def latent_boxes(x_d: np.ndarray, component: ComponentParams
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row latent intervals of the discrete sub-vectors, as (lower, upper)
-    arrays of shape (n, d)."""
-    x_d = np.atleast_2d(np.asarray(x_d, dtype=float))
-    c = component.n_continuous
-    lo = np.empty_like(x_d)
-    hi = np.empty_like(x_d)
-    for j, margin in enumerate(component.margins[c:]):
-        lo[:, j], hi[:, j] = mg.latent_bounds_arrays(x_d[:, j], margin)
-    return lo, hi
-
-
-def conditional_block(component: ComponentParams, y_c: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean (n, d) and covariance (d, d) of the discrete latent block given
-    the standardized continuous block ``y_c`` (n, c)."""
-    corr = component.correlation
-    c = component.n_continuous
+    y_c = (values[:, :c] - mu) / sigma
+    log_cont = np.zeros(n)
+    if c:
+        log_cont += gauss.mvn_logpdf_rows(y_c, corr[:c, :c])
+        log_cont -= sum(np.log(m.sigma) for m in component.margins[:c])
+    lower, upper = np.empty((2, n, d))
+    for j, ((support, rows), margin) in enumerate(
+            zip(index, component.margins[c:], strict=True)):
+        lo, hi = mg.latent_bounds_arrays(support, margin)
+        lower[:, j], upper[:, j] = lo[rows], hi[rows]
     if c == 0:
-        return np.zeros((y_c.shape[0], component.dim)), corr
+        return y_c, log_cont, lower, upper, np.zeros((n, d)), corr
     coef = np.linalg.solve(corr[:c, :c], corr[:c, c:])
-    cond_cov = corr[c:, c:] - corr[c:, :c] @ coef
-    return y_c @ coef, 0.5 * (cond_cov + cond_cov.T)
+    cov = corr[c:, c:] - corr[c:, :c] @ coef
+    return y_c, log_cont, lower, upper, y_c @ coef, 0.5 * (cov + cov.T)
 
 
 def component_logpdf_rows(values: np.ndarray, component: ComponentParams,
@@ -243,19 +252,12 @@ def component_logpdf_rows(values: np.ndarray, component: ComponentParams,
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n = values.shape[0]
-    c, d = component.n_continuous, component.n_discrete
-    corr = component.correlation
-
-    out = np.zeros(n)
-    y_c = standardize_continuous(values[:, :c], component)
-    if c:
-        out += gauss.mvn_logpdf_rows(y_c, corr[:c, :c])
-        out -= sum(np.log(m.sigma) for m in component.margins[:c])
-    if d == 0:
+    c = component.n_continuous
+    _, out, lo, hi, cond_mean, cond_cov = latent_geometry(
+        values, discrete_index(values, c), component)
+    if component.n_discrete == 0:
         return out, np.zeros(n, dtype=bool)
 
-    lo, hi = latent_boxes(values[:, c:], component)
-    cond_mean, cond_cov = conditional_block(component, y_c)
     prob, _ = gauss.box_probabilities(cond_cov, lo - cond_mean, hi - cond_mean,
                                       rng=rng, rel_tol=rel_tol)
 

@@ -14,7 +14,10 @@ locally independent family every proposal is accepted.  The margin update is
 always a Metropolis-Hastings move whose proposal is the conjugate posterior
 computed as if the correlation matrix were the identity, so under the
 locally independent family the proposal coincides with the target and
-every candidate is accepted.
+every candidate is accepted.  Each chain indexes the data's discrete
+columns once (``model.discrete_index``); the latent and margin updates
+evaluate a discrete margin on its column's distinct values and gather to
+the rows, so no sweep sorts or support-checks a whole column.
 
 Point estimation takes the elementwise mean of the post-burn-in draws
 (correlations re-normalized to unit diagonal, proportions and ordinal
@@ -41,10 +44,9 @@ from scipy.special import logsumexp
 from . import gauss, margins as mg
 from .model import (
     FAMILIES, HETEROSCEDASTIC, HOMOSCEDASTIC, INDEPENDENT,
-    ComponentParams, LatentState, MixtureParams, _params_doc,
-    conditional_block, latent_boxes, posterior_and_logpdf_rows,
+    ComponentParams, LatentState, MixtureParams, _params_doc, discrete_index,
+    latent_geometry, posterior_and_logpdf_rows,
     posterior_probs_rows,  # noqa: F401 -- perfbench's tracer test wraps it here
-    standardize_continuous,
 )
 from .schema import MixedDataset, check_identifiability
 
@@ -218,25 +220,24 @@ def init_local_independent(dataset: MixedDataset, g: int,
 # ---------------------------------------------------------------------------
 # step (a): labels and latent coordinates
 
-def _latent_proposal(values: np.ndarray, params: MixtureParams,
+def _latent_proposal(values: np.ndarray, index, params: MixtureParams,
                      rng: np.random.Generator):
     """Draw (z', y') for every row independently of the current state.
 
     z' is drawn with probability proportional to pi_k f_k(x_c) P_k, where
     f_k is the continuous block's density and P_k the product of the
     discrete coordinates' marginal interval masses; y' is the GHK draw
-    given z'.  Returns the proposal, each row's log(w_z'(y') / P_z'), and
-    per component (continuous latent block, conditional mean, Cholesky
-    factor, box, log P) for scoring the current state.
+    given z'.  ``index`` is the ``model.discrete_index`` of ``values``.
+    Returns the proposal, each row's log(w_z'(y') / P_z'), and per
+    component (continuous latent block, conditional mean, Cholesky factor,
+    box, log P) for scoring the current state.
     """
     n = values.shape[0]
     c = params.n_continuous
     parts = []
     log_p = np.empty((n, params.g))
     for k, comp in enumerate(params.components):
-        y_c = standardize_continuous(values[:, :c], comp)
-        lo, hi = latent_boxes(values[:, c:], comp)
-        mean, cov = conditional_block(comp, y_c)
+        y_c, log_cont, lo, hi, mean, cov = latent_geometry(values, index, comp)
         sd = np.sqrt(np.diag(cov))
         log_phat = np.zeros(n)
         for j in range(sd.size):
@@ -244,9 +245,7 @@ def _latent_proposal(values: np.ndarray, params: MixtureParams,
                 (lo[:, j] - mean[:, j]) / sd[j], (hi[:, j] - mean[:, j]) / sd[j])
         chol = gauss.chol_spd(cov) if sd.size else cov
         parts.append((y_c, mean, chol, lo, hi, log_phat))
-        log_p[:, k] = (np.log(params.proportions[k]) + log_phat
-                       + gauss.mvn_logpdf_rows(y_c, comp.correlation[:c, :c])
-                       - sum(np.log(m.sigma) for m in comp.margins[:c]))
+        log_p[:, k] = np.log(params.proportions[k]) + log_phat + log_cont
     # a row with no component of positive weight (every box empty) takes a
     # uniform label; its proposal has log weight -inf and is not accepted
     log_p[~np.isfinite(log_p.max(axis=1))] = 0.0
@@ -263,11 +262,11 @@ def _latent_proposal(values: np.ndarray, params: MixtureParams,
     return LatentState(y, z), log_ratio, parts
 
 
-def initial_latent_state(values: np.ndarray, params: MixtureParams,
+def initial_latent_state(values: np.ndarray, index, params: MixtureParams,
                          rng: np.random.Generator) -> LatentState:
     """A latent state consistent with the parameters: one proposal of the
     latent move, accepted outright."""
-    return _latent_proposal(values, params, rng)[0]
+    return _latent_proposal(values, index, params, rng)[0]
 
 
 def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -275,8 +274,9 @@ def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
 
 
-def step_latent(values: np.ndarray, params: MixtureParams, state: LatentState,
-                rng: np.random.Generator) -> tuple[LatentState, int, int]:
+def step_latent(values: np.ndarray, index, params: MixtureParams,
+                state: LatentState, rng: np.random.Generator
+                ) -> tuple[LatentState, int, int]:
     """One independence Metropolis-Hastings move of (z, y) per row.
 
     The target is pi_z f_z(x_c) phi_z(y | y_c) 1[y in box_z(x)].  The
@@ -288,10 +288,11 @@ def step_latent(values: np.ndarray, params: MixtureParams, state: LatentState,
     for any positive P.  A current y outside its box has weight 0 and
     always moves.  Under the independent family w = P and every proposal
     is accepted, which is then an exact draw.  A rejected row keeps its
-    state.  Returns the new state plus (accepted, proposed) counts.
+    state.  ``index`` is the ``model.discrete_index`` of ``values``.
+    Returns the new state plus (accepted, proposed) counts.
     """
     c = params.n_continuous
-    proposal, log_new, parts = _latent_proposal(values, params, rng)
+    proposal, log_new, parts = _latent_proposal(values, index, params, rng)
     log_old = np.empty(values.shape[0])
     for k, (_, mean, chol, lo, hi, log_phat) in enumerate(parts):
         rows = np.flatnonzero(state.z == k)
@@ -326,7 +327,7 @@ def _cond_obs_loglik(x_col: np.ndarray, margin: mg.MarginParams, box,
     return gauss.log_gaussian_interval((lo - mu_t) / sd_t, (hi - mu_t) / sd_t)
 
 
-def step_margins(values: np.ndarray, params: MixtureParams,
+def step_margins(values: np.ndarray, index, params: MixtureParams,
                  state: LatentState, priors: list[mg.MarginPrior],
                  rng: np.random.Generator
                  ) -> tuple[MixtureParams, LatentState, np.ndarray]:
@@ -338,8 +339,10 @@ def step_margins(values: np.ndarray, params: MixtureParams,
     exactly under the locally independent family (always accepted).  After
     each update the latent column is refreshed: deterministically for
     continuous columns, from its truncated full conditional for discrete
-    ones.  Returns the updated parameters, state and a (g, e) 0/1 matrix of
-    acceptances.
+    ones.  A discrete column's latent intervals and log masses are
+    evaluated on its support, from ``index`` (the ``model.discrete_index``
+    of ``values``), and gathered to the rows.  Returns the updated
+    parameters, state and a (g, e) 0/1 matrix of acceptances.
     """
     c = params.n_continuous
     e = params.dim
@@ -360,7 +363,10 @@ def step_margins(values: np.ndarray, params: MixtureParams,
             # accepted one's are reused for the refresh below
             box_old = box_cand = None
             if j >= c:
-                box_cand = mg.latent_bounds_arrays(x_col, cand)
+                support, row_index = index[j - c]
+                at = row_index[rows]
+                box_cand = tuple(b[at] for b in
+                                 mg.latent_bounds_arrays(support, cand))
 
             if independent:
                 mu_t = np.zeros(rows.size)
@@ -368,13 +374,18 @@ def step_margins(values: np.ndarray, params: MixtureParams,
                 take = True
             else:
                 if j >= c:
-                    box_old = mg.latent_bounds_arrays(x_col, old)
+                    box_old = tuple(b[at] for b in
+                                    mg.latent_bounds_arrays(support, old))
                 coef, var = gauss.conditional_coefficients(comp.correlation, j)
                 mu_t = y[np.ix_(rows, rest)] @ coef
                 sd_t = np.full(rows.size, np.sqrt(var))
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    ll_ind_old = mg.logpdf_array(x_col, old).sum()
-                    ll_ind_new = mg.logpdf_array(x_col, cand).sum()
+                    if j >= c:
+                        ll_ind_old = mg.logpdf_array(support, old)[at].sum()
+                        ll_ind_new = mg.logpdf_array(support, cand)[at].sum()
+                    else:
+                        ll_ind_old = mg.logpdf_array(x_col, old).sum()
+                        ll_ind_new = mg.logpdf_array(x_col, cand).sum()
                     ll_cond_old = _cond_obs_loglik(x_col, old, box_old,
                                                    mu_t, sd_t).sum()
                     ll_cond_new = _cond_obs_loglik(x_col, cand, box_cand,
@@ -513,7 +524,8 @@ def run_chain(dataset: MixedDataset, config: ChainConfig,
     if params.family != config.family:
         params = MixtureParams(params.proportions, params.components,
                                config.family)
-    state = initial_latent_state(values, params, rng)
+    index = discrete_index(values, params.n_continuous)
+    state = initial_latent_state(values, index, params, rng)
 
     total = config.burn_in + config.iterations
     acc = None
@@ -526,10 +538,11 @@ def run_chain(dataset: MixedDataset, config: ChainConfig,
     draws = []
 
     for it in range(total):
-        state, a, p = step_latent(values, params, state, rng)
+        state, a, p = step_latent(values, index, params, state, rng)
         latent_accepted += a
         latent_proposed += p
-        params, state, took = step_margins(values, params, state, priors, rng)
+        params, state, took = step_margins(values, index, params, state,
+                                           priors, rng)
         margin_accepted += took
         margin_proposed += 1
         pi = step_proportions(state.z, config.g, rng)

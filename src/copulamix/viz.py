@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gauss
-from .model import (ComponentParams, MixtureParams, conditional_block,
-                    latent_boxes, posterior_probs_rows, standardize_continuous)
+from .model import (ComponentParams, MixtureParams, discrete_index,
+                    latent_geometry, posterior_probs_rows)
 from .schema import MixedDataset
 
 __all__ = [
@@ -78,13 +78,12 @@ def conditional_latent_means(values: np.ndarray, component: ComponentParams,
     standard errors over the shifts), with zero error on exact coordinates.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    c, d = component.n_continuous, component.n_discrete
-    y_c = standardize_continuous(values[:, :c], component)
+    c = component.n_continuous
+    y_c, _, lo, hi, cond_mean, cond_cov = latent_geometry(
+        values, discrete_index(values, c), component)
     out, err = np.zeros((2, values.shape[0], component.dim))
     out[:, :c] = y_c
-    if d:
-        lo, hi = latent_boxes(values[:, c:], component)
-        cond_mean, cond_cov = conditional_block(component, y_c)
+    if component.n_discrete:
         mean, err[:, c:] = gauss.ghk_means(cond_cov, lo - cond_mean,
                                            hi - cond_mean, rng, n_mc)
         out[:, c:] = cond_mean + mean

@@ -160,11 +160,12 @@ class TestConjugacySuite:
         ds, _, _ = mx.generate(200, params, rng)
         priors = [mg.default_prior(ds.values[:, j], kind)
                   for j, kind in enumerate(ds.schema.kinds)]
-        state = sp.initial_latent_state(ds.values, params, rng)
+        index = mx.discrete_index(ds.values, 1)
+        state = sp.initial_latent_state(ds.values, index, params, rng)
         total = np.zeros((1, 3))
         for _ in range(200):
-            params, state, took = sp.step_margins(ds.values, params, state,
-                                                  priors, rng)
+            params, state, took = sp.step_margins(ds.values, index, params,
+                                                  state, priors, rng)
             total += took
         np.testing.assert_array_equal(total, 200.0)
         assert time.perf_counter() - start < 60.0
@@ -342,11 +343,13 @@ class TestSamplerInvariants:
             ds, _, _ = mx.generate(int(rng.integers(40, 120)), params, rng)
             priors = [mg.default_prior(ds.values[:, j], kind)
                       for j, kind in enumerate(ds.schema.kinds)]
-            state = sp.initial_latent_state(ds.values, params, rng)
+            index = mx.discrete_index(ds.values, c)
+            state = sp.initial_latent_state(ds.values, index, params, rng)
             for _ in range(3):
-                state, _, _ = sp.step_latent(ds.values, params, state, rng)
-                params, state, _ = sp.step_margins(ds.values, params, state,
-                                                   priors, rng)
+                state, _, _ = sp.step_latent(ds.values, index, params, state,
+                                             rng)
+                params, state, _ = sp.step_margins(ds.values, index, params,
+                                                   state, priors, rng)
                 pi = sp.step_proportions(state.z, g, rng)
                 params = mx.MixtureParams(pi, params.components,
                                           params.family)
@@ -373,15 +376,13 @@ class TestSamplerInvariants:
             rows = state.z == k
             if not rows.any():
                 continue
+            y_c, _, lo, hi, _, _ = mx.latent_geometry(
+                values[rows], mx.discrete_index(values[rows], c), comp)
             if c:
-                np.testing.assert_array_equal(
-                    state.y[rows][:, :c],
-                    mx.standardize_continuous(values[rows, :c], comp))
+                np.testing.assert_array_equal(state.y[rows][:, :c], y_c)
             for j in range(c, params.dim):
-                lo, hi = mg.latent_bounds_arrays(values[rows, j],
-                                                 comp.margins[j])
-                assert np.all((state.y[rows, j] > lo)
-                              & (state.y[rows, j] <= hi))
+                assert np.all((state.y[rows, j] > lo[:, j - c])
+                              & (state.y[rows, j] <= hi[:, j - c]))
 
     def test_fit_reproducible(self):
         rng = np.random.default_rng(801)

@@ -128,6 +128,12 @@ class TestFit:
                     str(sim_dir / "schema.txt"), "--g", "0",
                     "--out", str(tmp_path / "z"), *FAST]) == cli.EXIT_USAGE
 
+    def test_argparse_error_is_usage_exit(self, sim_dir, tmp_path):
+        assert run(["fit", str(sim_dir / "data.csv"),
+                    str(sim_dir / "schema.txt"), "--g", "2",
+                    "--family", "bogus",
+                    "--out", str(tmp_path / "z"), *FAST]) == cli.EXIT_USAGE
+
     def test_missing_data_file(self, sim_dir, tmp_path):
         assert run(["fit", str(sim_dir / "nope.csv"),
                     str(sim_dir / "schema.txt"), "--g", "1",
@@ -158,6 +164,12 @@ class TestSelect:
         assert len(doc["cells"]) == 4
         assert doc["best_bic"]["g"] in (1, 2)
         assert doc["best_icl"]["family"] in ("independent", "heteroscedastic")
+
+    def test_argparse_error_is_usage_exit(self, sim_dir, tmp_path):
+        # --thin belongs to fit only
+        assert run(["select", str(sim_dir / "data.csv"),
+                    str(sim_dir / "schema.txt"), "--thin", "2",
+                    "--out", str(tmp_path / "s"), *FAST]) == cli.EXIT_USAGE
 
     def test_keeps_no_draws(self, sim_dir, tmp_path, monkeypatch):
         kept = []
@@ -235,6 +247,11 @@ class TestEval:
 
 
 class TestEntryPoint:
+    def test_help_is_success(self, capsys):
+        assert run(["--help"]) == cli.EXIT_OK
+        assert run(["fit", "--help"]) == cli.EXIT_OK
+        assert "--family" in capsys.readouterr().out
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "copulamix.cli", "--help"],

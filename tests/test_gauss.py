@@ -439,9 +439,8 @@ def example_boxes(component_index, reverse=False):
                                    mg.OrdinalMargin([0.5, 0.5])))))
     ds, _, _ = mx.generate(400, params, np.random.default_rng(20))
     comp = params.components[component_index]
-    mean, cov = mx.conditional_block(
-        comp, mx.standardize_continuous(ds.values[:, :1], comp))
-    lo, hi = mx.latent_boxes(ds.values[:, 1:], comp)
+    _, _, lo, hi, mean, cov = mx.latent_geometry(
+        ds.values, mx.discrete_index(ds.values, 1), comp)
     cols = [1, 0] if reverse else [0, 1]
     return cov[np.ix_(cols, cols)], (lo - mean)[:, cols], (hi - mean)[:, cols]
 

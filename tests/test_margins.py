@@ -106,7 +106,8 @@ class TestLatentBounds:
         for margin, xs in cases:
             xs = rng.permutation(xs.astype(float))  # unsorted, with repeats
             lo, hi = mg.latent_bounds_arrays(xs, margin)
-            expected = np.array([mg.latent_bounds(x, margin) for x in xs])
+            expected = np.array([mg.latent_bounds_arrays(xs[i:i + 1], margin)
+                                 for i in range(xs.size)])[:, :, 0]
             np.testing.assert_array_equal(lo, expected[:, 0])
             np.testing.assert_array_equal(hi, expected[:, 1])
             lo2, hi2 = mg.latent_bounds_arrays(xs.reshape(2, -1), margin)
@@ -138,14 +139,15 @@ class TestLatentBounds:
         assert np.all(np.diff(hi) > 0)
 
     def test_edges_infinite(self):
-        lo, hi = mg.latent_bounds(0.0, mg.PoissonMargin(2.0))
+        (lo,), (hi,) = mg.latent_bounds_arrays([0.0], mg.PoissonMargin(2.0))
         assert lo == -np.inf and np.isfinite(hi)
-        lo, hi = mg.latent_bounds(3.0, mg.OrdinalMargin([0.2, 0.3, 0.5]))
+        (lo,), (hi,) = mg.latent_bounds_arrays(
+            [3.0], mg.OrdinalMargin([0.2, 0.3, 0.5]))
         assert np.isfinite(lo) and hi == np.inf
 
     def test_continuous_margin_rejected(self):
         with pytest.raises(mg.SupportError):
-            mg.latent_bounds(0.0, mg.GaussianMargin(0, 1))
+            mg.latent_bounds_arrays([0.0], mg.GaussianMargin(0, 1))
 
 
 class TestDefaultPriors:

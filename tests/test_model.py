@@ -88,19 +88,25 @@ class TestParamsValidation:
             mx.MixtureParams(np.array([0.5, 0.5]), (comp1, comp2))
 
 
+def standardized(x_c, comp):
+    """The continuous latent block ``latent_geometry`` gives one row."""
+    values = np.array([list(x_c) + [1.0] * comp.n_discrete])
+    return mx.latent_geometry(values, mx.discrete_index(
+        values, comp.n_continuous), comp)[0][0]
+
+
 class TestStandardize:
     def test_at_mean_is_zero(self):
         comp1, _ = example_components()
-        np.testing.assert_array_equal(
-            mx.standardize_continuous(np.array([-2.0]), comp1), [0.0])
+        np.testing.assert_array_equal(standardized([-2.0], comp1), [0.0])
 
     def test_example_value(self):
         _, comp2 = example_components()
-        assert mx.standardize_continuous(np.array([3.0]), comp2)[0] == 1.0
+        assert standardized([3.0], comp2)[0] == 1.0
 
     def test_scale(self):
         comp = mx.ComponentParams(np.eye(1), (mg.GaussianMargin(0.0, 2.0),))
-        assert mx.standardize_continuous(np.array([-4.0]), comp)[0] == -2.0
+        assert standardized([-4.0], comp)[0] == -2.0
 
 
 class TestComponentLogpdf:

@@ -32,12 +32,14 @@ def state_invariants_hold(values, params, state):
         rows = state.z == k
         if not rows.any():
             continue
-        expected = mx.standardize_continuous(values[rows, :c], comp)
-        if c and not np.array_equal(state.y[rows][:, :c], expected):
+        y_c, _, lo, hi, _, _ = mx.latent_geometry(
+            values[rows], mx.discrete_index(values[rows], c), comp)
+        if c and not np.array_equal(state.y[rows][:, :c], y_c):
             return False
         for j in range(c, params.dim):
-            lo, hi = mg.latent_bounds_arrays(values[rows, j], comp.margins[j])
-            if not np.all((state.y[rows, j] > lo) & (state.y[rows, j] <= hi)):
+            lo_j, hi_j = lo[:, j - c], hi[:, j - c]
+            if not np.all((state.y[rows, j] > lo_j)
+                          & (state.y[rows, j] <= hi_j)):
                 return False
     return True
 
@@ -120,20 +122,21 @@ class TestStepLatent:
         comp = params.components[0]
         single = mx.MixtureParams(np.array([1.0]), (comp,))
         ds, _, _ = mx.generate(200, single, rng)
-        state = sp.initial_latent_state(ds.values, single, rng)
-        state, _, _ = sp.step_latent(ds.values, single, state, rng)
+        index = mx.discrete_index(ds.values, 1)
+        state = sp.initial_latent_state(ds.values, index, single, rng)
+        state, _, _ = sp.step_latent(ds.values, index, single, state, rng)
         assert np.all(state.z == 0)
-        np.testing.assert_array_equal(
-            state.y[:, 0],
-            mx.standardize_continuous(ds.values[:, :1], comp)[:, 0])
+        y_c = mx.latent_geometry(ds.values, index, comp)[0]
+        np.testing.assert_array_equal(state.y[:, 0], y_c[:, 0])
 
     def test_identical_components_label_frequencies(self):
         rng = np.random.default_rng(6)
         comp = example_mixture().components[0]
         params = mx.MixtureParams(np.array([0.3, 0.7]), (comp, comp))
         ds, _, _ = mx.generate(10_000, params, rng)
-        state = sp.initial_latent_state(ds.values, params, rng)
-        state, _, _ = sp.step_latent(ds.values, params, state, rng)
+        index = mx.discrete_index(ds.values, 1)
+        state = sp.initial_latent_state(ds.values, index, params, rng)
+        state, _, _ = sp.step_latent(ds.values, index, params, state, rng)
         freq = np.mean(state.z == 1)
         assert freq == pytest.approx(0.7, abs=3 * 0.46 / 100)
 
@@ -141,9 +144,10 @@ class TestStepLatent:
         rng = np.random.default_rng(7)
         params = example_mixture()
         ds, _, _ = mx.generate(300, params, rng)
-        state = sp.initial_latent_state(ds.values, params, rng)
-        state, accepted, proposed = sp.step_latent(ds.values, params, state,
-                                                   rng)
+        index = mx.discrete_index(ds.values, 1)
+        state = sp.initial_latent_state(ds.values, index, params, rng)
+        state, accepted, proposed = sp.step_latent(ds.values, index, params,
+                                                   state, rng)
         assert proposed == 300
         assert 0 < accepted <= 300
         assert state_invariants_hold(ds.values, params, state)
@@ -153,8 +157,9 @@ class TestStepLatent:
         params = example_mixture()
         ds, _, _ = mx.generate(300, params, rng)
         values = ds.values
-        state = sp.initial_latent_state(values, params, rng)
-        new, accepted, _ = sp.step_latent(values, params, state, rng)
+        index = mx.discrete_index(values, 1)
+        state = sp.initial_latent_state(values, index, params, rng)
+        new, accepted, _ = sp.step_latent(values, index, params, state, rng)
         # an accepted proposal redraws every discrete coordinate
         moved = np.any(new.y[:, 1:] != state.y[:, 1:], axis=1)
         assert 0 < accepted == moved.sum() < 300
@@ -162,7 +167,8 @@ class TestStepLatent:
         assert state_invariants_hold(values, params, new)
         for k, comp in enumerate(params.components):
             rows = new.z == k
-            lo, hi = mx.latent_boxes(values[rows, 1:], comp)
+            _, _, lo, hi, _, _ = mx.latent_geometry(values, index, comp)
+            lo, hi = lo[rows], hi[rows]
             assert np.all((new.y[rows, 1:] > lo) & (new.y[rows, 1:] < hi))
 
     def test_step_from_coordinates_outside_their_box(self):
@@ -170,9 +176,10 @@ class TestStepLatent:
         rng = np.random.default_rng(31)
         params = example_mixture()
         ds, _, _ = mx.generate(300, params, rng)
-        state = sp.initial_latent_state(ds.values, params, rng)
+        index = mx.discrete_index(ds.values, 1)
+        state = sp.initial_latent_state(ds.values, index, params, rng)
         far = mx.LatentState(np.full_like(state.y, 40.0), state.z)
-        new, accepted, _ = sp.step_latent(ds.values, params, far, rng)
+        new, accepted, _ = sp.step_latent(ds.values, index, params, far, rng)
         assert accepted == 300
         assert state_invariants_hold(ds.values, params, new)
 
@@ -197,10 +204,11 @@ class TestStepLatent:
         params = mx.MixtureParams(np.array([1.0]),
                                   (mx.ComponentParams(corr, margins),))
         ds, _, _ = mx.generate(300, params, rng)
-        state = sp.initial_latent_state(ds.values, params, rng)
+        index = mx.discrete_index(ds.values, 1)
+        state = sp.initial_latent_state(ds.values, index, params, rng)
         assert state_invariants_hold(ds.values, params, state)
-        state, accepted, proposed = sp.step_latent(ds.values, params, state,
-                                                   rng)
+        state, accepted, proposed = sp.step_latent(ds.values, index, params,
+                                                   state, rng)
         assert proposed == 300
         assert 0 < accepted <= 300
         assert state_invariants_hold(ds.values, params, state)
@@ -212,11 +220,12 @@ class TestStepLatent:
         params = example_mixture()
         ds, _, _ = mx.generate(400, params, rng)
         t, _ = mx.posterior_probs_rows(ds.values, params, rng=rng)
-        state = sp.initial_latent_state(ds.values, params, rng)
+        index = mx.discrete_index(ds.values, 1)
+        state = sp.initial_latent_state(ds.values, index, params, rng)
         hits = np.zeros(ds.n)
         n_rounds = 60
         for _ in range(n_rounds):
-            state, _, _ = sp.step_latent(ds.values, params, state, rng)
+            state, _, _ = sp.step_latent(ds.values, index, params, state, rng)
             hits += (state.z == 1)
         # average over rows: empirical rate of label 2 vs posterior mass
         assert np.mean(hits / n_rounds) == pytest.approx(
@@ -354,10 +363,11 @@ class TestLatentStepLaw:
         m, c = rows.shape[0], params.n_continuous
         values = np.repeat(rows, self.replicas, axis=0)
         rng = np.random.default_rng(2004)
-        state = sp.initial_latent_state(values, params, rng)
+        index = mx.discrete_index(values, c)
+        state = sp.initial_latent_state(values, index, params, rng)
         moved = np.zeros(values.shape[0], dtype=bool)
         for _ in range(self.burn_in):
-            new, _, _ = sp.step_latent(values, params, state, rng)
+            new, _, _ = sp.step_latent(values, index, params, state, rng)
             moved |= (new.z != state.z) | np.any(new.y != state.y, axis=1)
             state = new
         # an accepted move changes the state unless d = 0 and the label
@@ -374,7 +384,8 @@ class TestLatentStepLaw:
             assert p_label > self.min_p, (i, p_label)
             for k, comp in enumerate(params.components):
                 chain = y[i][z[i] == k]
-                y_c = mx.standardize_continuous(rows[i:i + 1, :c], comp)
+                y_c = mx.latent_geometry(rows[i:i + 1], mx.discrete_index(
+                    rows[i:i + 1], c), comp)[0]
                 np.testing.assert_array_equal(
                     chain[:, :c], np.broadcast_to(y_c, (len(chain), c)))
                 exact = _exact_latent_draws(rows[i], comp, 4000, ref_rng)
@@ -393,40 +404,67 @@ class TestStepMargins:
         ds, _, _ = mx.generate(400, params, rng)
         priors = [mg.default_prior(ds.values[:, j], kind)
                   for j, kind in enumerate(ds.schema.kinds)]
-        state = sp.initial_latent_state(ds.values, params, rng)
-        return ds, params, priors, state
+        index = mx.discrete_index(ds.values, 1)
+        state = sp.initial_latent_state(ds.values, index, params, rng)
+        return ds, index, params, priors, state
 
     def test_independent_family_always_accepts(self):
         rng = np.random.default_rng(10)
-        ds, params, priors, state = self.make_fit_inputs(rng, mx.INDEPENDENT)
+        ds, index, params, priors, state = self.make_fit_inputs(
+            rng, mx.INDEPENDENT)
         total = np.zeros((2, 3))
         for _ in range(50):
-            params, state, took = sp.step_margins(ds.values, params, state,
-                                                  priors, rng)
+            params, state, took = sp.step_margins(ds.values, index, params,
+                                                  state, priors, rng)
             total += took
         np.testing.assert_array_equal(total, 50.0)
 
     def test_invariants_after_step(self):
         rng = np.random.default_rng(11)
-        ds, params, priors, state = self.make_fit_inputs(rng)
-        params, state, _ = sp.step_margins(ds.values, params, state, priors,
-                                           rng)
+        ds, index, params, priors, state = self.make_fit_inputs(rng)
+        params, state, _ = sp.step_margins(ds.values, index, params, state,
+                                           priors, rng)
         assert state_invariants_hold(ds.values, params, state)
 
     def test_empty_component_still_updates(self):
         rng = np.random.default_rng(12)
-        ds, params, priors, state = self.make_fit_inputs(rng)
+        ds, index, params, priors, state = self.make_fit_inputs(rng)
         # force every row into component 0; component 1 margins come from
         # the prior-driven proposal and remain valid
         state = mx.LatentState(state.y, np.zeros(ds.n, dtype=int))
-        state, _, _ = sp.step_latent(ds.values, params,
+        state, _, _ = sp.step_latent(ds.values, index, params,
                                      state, rng)
         state = mx.LatentState(state.y, np.zeros(ds.n, dtype=int))
-        params, state, took = sp.step_margins(ds.values, params, state,
-                                              priors, rng)
+        params, state, took = sp.step_margins(ds.values, index, params,
+                                              state, priors, rng)
         comp = params.components[1]
         assert comp.margins[0].sigma > 0
         assert comp.margins[1].rate > 0
+
+    def test_discrete_columns_checked_on_their_support(self, monkeypatch):
+        # a discrete column never changes during a fit, so its margins are
+        # evaluated (and support-checked) once per distinct value, never
+        # once per row
+        rng = np.random.default_rng(40)
+        params = example_mixture()
+        ds, _, _ = mx.generate(200, params, rng)
+        distinct = {mg.PoissonMargin: np.unique(ds.values[:, 1]).size,
+                    mg.OrdinalMargin: np.unique(ds.values[:, 2]).size}
+        sizes = []
+        check_support = mg._check_support
+
+        def recording_check(x, margin):
+            if mg.is_discrete(margin):
+                sizes.append((type(margin), np.size(x)))
+            return check_support(x, margin)
+
+        monkeypatch.setattr(mg, "_check_support", recording_check)
+        cfg = sp.ChainConfig(g=2, iterations=5, burn_in=2, n_chains=1)
+        sp.run_chain(ds, cfg, np.random.default_rng(41), init=params)
+        assert {kind for kind, _ in sizes} == set(distinct)
+        too_large = [(kind.__name__, size) for kind, size in sizes
+                     if size > distinct[kind]]
+        assert not too_large, too_large
 
     def test_binary_conjugate_posterior_mean(self):
         # single binary column, identity correlation, all observations at
@@ -441,11 +479,12 @@ class TestStepMargins:
         comps = (mx.ComponentParams(np.eye(2), (mg.GaussianMargin(0, 1),
                                                 mg.OrdinalMargin([0.5, 0.5]))),)
         params = mx.MixtureParams(np.array([1.0]), comps, mx.INDEPENDENT)
-        state = sp.initial_latent_state(values, params, rng)
+        index = mx.discrete_index(values, 1)
+        state = sp.initial_latent_state(values, index, params, rng)
         draws = []
         for _ in range(3000):
-            params, state, _ = sp.step_margins(values, params, state, priors,
-                                               rng)
+            params, state, _ = sp.step_margins(values, index, params, state,
+                                               priors, rng)
             draws.append(params.components[0].margins[1].probs[0])
         draws = np.array(draws[200:])
         expected = (n + 0.5) / (n + 1.0)
@@ -477,7 +516,8 @@ class TestStepProportions:
 class TestStepCorrelation:
     def make_state(self, rng, params, n=500):
         ds, _, _ = mx.generate(n, params, rng)
-        return ds, sp.initial_latent_state(ds.values, params, rng)
+        index = mx.discrete_index(ds.values, params.n_continuous)
+        return ds, sp.initial_latent_state(ds.values, index, params, rng)
 
     def test_independent_noop(self):
         rng = np.random.default_rng(17)

@@ -121,7 +121,7 @@ class TestConditionalLatentMeans:
                                          mg.PoissonMargin(4.0)))
         x = np.array([[1.2, 3.0]])
         mean, _ = viz.conditional_latent_means(x, comp, rng)
-        lo, hi = mg.latent_bounds(3.0, mg.PoissonMargin(4.0))
+        (lo,), (hi,) = mg.latent_bounds_arrays([3.0], mg.PoissonMargin(4.0))
         mu, sd = 0.6 * 1.2, np.sqrt(1 - 0.36)
         ref = stats.truncnorm((lo - mu) / sd, (hi - mu) / sd, mu, sd).mean()
         assert mean[0, 1] == pytest.approx(ref, abs=1e-10)
@@ -137,7 +137,7 @@ class TestConditionalLatentMeans:
         mean, err = viz.conditional_latent_means(x, comp, rng, n_mc=4000)
         for i in range(2):
             for j, margin in enumerate(comp.margins):
-                lo, hi = mg.latent_bounds(x[i, j], margin)
+                (lo,), (hi,) = mg.latent_bounds_arrays(x[i, j:j + 1], margin)
                 ref = stats.truncnorm(lo, hi).mean()
                 assert mean[i, j] == pytest.approx(ref, abs=4 * err[i, j]
                                                    + 1e-12)
