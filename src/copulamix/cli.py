@@ -116,6 +116,8 @@ def cmd_select(args) -> int:
     if args.gmin < 1 or args.gmax < args.gmin:
         raise UsageError("need 1 <= gmin <= gmax")
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not families:
+        raise UsageError("need at least one family")
     for family in families:
         if family not in FAMILIES:
             raise UsageError(f"unknown family {family!r}")

@@ -295,7 +295,7 @@ def _fit_metrics(dataset: MixedDataset, labels_true: np.ndarray,
     est = result.params
     kl, kl_se, dropped = kl_divergence_mc(
         sample_true, logpdf_true,
-        lambda v: mixture_logpdf_rows(v, est, rng=rng),
+        lambda v: mixture_logpdf_rows(v, est, rng),
         n_kl, rng)
     err = misclassification_rate(result.labels, labels_true)
     k1 = _align_first_component(result.labels, labels_true, config.g)
@@ -337,7 +337,7 @@ def run_simulation_study(study: str, sample_sizes, replicates: int,
                     ds, z, _ = generate(int(n), truth, rng)
                     metrics = _fit_metrics(
                         ds, z, lambda m, r: generate(m, truth, r)[0].values,
-                        lambda v: mixture_logpdf_rows(v, truth, rng=rng),
+                        lambda v: mixture_logpdf_rows(v, truth, rng),
                         "mu", cfg, rng, n_kl)
                 else:
                     truth = karlis_params()
@@ -358,13 +358,12 @@ def run_simulation_study(study: str, sample_sizes, replicates: int,
     return rows
 
 
-def format_study_table(rows, delimiter: str = ",") -> str:
-    """Render study rows as a long-format delimited table."""
+def format_study_table(rows) -> str:
+    """Render study rows as a long-format comma-separated table."""
     buf = io.StringIO()
-    buf.write(delimiter.join(["study", "n", "replicate", "metric", "value"])
-              + "\n")
+    buf.write(",".join(["study", "n", "replicate", "metric", "value"]) + "\n")
     for row in rows:
-        buf.write(delimiter.join([row["study"], str(row["n"]),
-                                  str(row["replicate"]), row["metric"],
-                                  repr(row["value"])]) + "\n")
+        buf.write(",".join([row["study"], str(row["n"]),
+                            str(row["replicate"]), row["metric"],
+                            repr(row["value"])]) + "\n")
     return buf.getvalue()

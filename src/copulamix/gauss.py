@@ -466,11 +466,14 @@ def _trivariate_rectangle(cov: np.ndarray, lower: np.ndarray,
 
 _QMC_PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                         47, 53, 59, 61, 67, 71], dtype=float)
+_QMC_SHIFTS = 8
+_QMC_REL_TOL = 1e-4  # a row's error target, relative to its value
+_QMC_MAX_POINTS = 20000  # points per shift, at most
 
 
 def _mvn_qmc_batch(chol: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                   rng: np.random.Generator, n_points: int,
-                   n_shifts: int = 8) -> tuple[np.ndarray, np.ndarray]:
+                   rng: np.random.Generator, n_points: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Genz separation-of-variables rectangle probability with a randomly
     shifted rank-1 lattice.  Returns per-row estimates and standard errors
     for (n, d) bound arrays sharing one Cholesky factor."""
@@ -482,8 +485,8 @@ def _mvn_qmc_batch(chol: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     kvec = np.arange(1, n_points + 1)[:, None]
     base = kvec * gen[None, :]  # (q, d-1)
 
-    estimates = np.zeros((n_shifts, n))
-    for s in range(n_shifts):
+    estimates = np.zeros((_QMC_SHIFTS, n))
+    for s in range(_QMC_SHIFTS):
         shift = rng.uniform(size=max(d - 1, 1))
         w = np.abs(2.0 * np.modf(base + shift)[0] - 1.0)  # antithetic fold
         # sequential conditioning, vectorized over (points, rows)
@@ -501,21 +504,21 @@ def _mvn_qmc_batch(chol: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         estimates[s] = f.mean(axis=0)
 
     value = estimates.mean(axis=0)
-    err = estimates.std(axis=0, ddof=1) / np.sqrt(n_shifts)
+    err = estimates.std(axis=0, ddof=1) / np.sqrt(_QMC_SHIFTS)
     return np.clip(value, 0.0, 1.0), 3.0 * err
 
 
 def box_probabilities(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                      rng: np.random.Generator | None = None,
-                      rel_tol: float = 1e-4,
-                      max_points: int = 20000) -> tuple[np.ndarray, np.ndarray]:
+                      rng: np.random.Generator
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-mean rectangle probabilities for many rows sharing one covariance.
 
-    Returns (values, error estimates); the d <= 3 paths are deterministic and
-    report a small constant error bound.  Beyond that, quasi-Monte Carlo
-    starts at 512 points per shift and doubles, up to ``max_points``, for
-    the rows whose error still exceeds ``rel_tol`` of their value; a row
-    that has converged keeps its value and error.
+    Returns (values, error estimates); the d <= 3 paths are deterministic,
+    ignore ``rng`` and report a small constant error bound.  Beyond that,
+    quasi-Monte Carlo starts at 512 points per shift and doubles, up to
+    ``_QMC_MAX_POINTS`` (20 000), for the rows whose error still exceeds
+    ``_QMC_REL_TOL`` (1e-4) of their value; a row that has converged keeps
+    its value and error.
     """
     cov = np.asarray(cov, dtype=float)
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
@@ -535,16 +538,14 @@ def box_probabilities(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     if d == 3:
         return _trivariate_rectangle(cov, lower, upper), np.full(n, 1e-8)
 
-    if rng is None:
-        rng = np.random.default_rng(0)
     chol = chol_spd(cov)
-    pts = min(512, max_points)
+    pts = 512
     value, err = _mvn_qmc_batch(chol, lower, upper, rng, pts)
-    todo = np.flatnonzero(err > np.maximum(rel_tol * value, 1e-12))
-    while todo.size and pts < max_points:
-        pts = min(2 * pts, max_points)
+    todo = np.flatnonzero(err > np.maximum(_QMC_REL_TOL * value, 1e-12))
+    while todo.size and pts < _QMC_MAX_POINTS:
+        pts = min(2 * pts, _QMC_MAX_POINTS)
         v, e = _mvn_qmc_batch(chol, lower[todo], upper[todo], rng, pts)
         value[todo] = v
         err[todo] = e
-        todo = todo[e > np.maximum(rel_tol * v, 1e-12)]
+        todo = todo[e > np.maximum(_QMC_REL_TOL * v, 1e-12)]
     return value, err

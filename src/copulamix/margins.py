@@ -265,12 +265,11 @@ class OrdinalDirichletPrior:
 
     __slots__ = ("alpha",)
 
-    def __init__(self, levels: int | None = None, concentration: float = 0.5,
-                 alpha=None):
+    def __init__(self, levels: int | None = None, alpha=None):
         if alpha is None:
-            if levels is None or levels < 2 or concentration <= 0:
-                raise ValueError("need >= 2 levels and positive concentration")
-            alpha = np.full(levels, float(concentration))
+            if levels is None or levels < 2:
+                raise ValueError("need >= 2 levels")
+            alpha = np.full(levels, 0.5)
         alpha = np.asarray(alpha, dtype=float)
         if alpha.ndim != 1 or alpha.size < 2 or np.any(alpha <= 0):
             raise ValueError("alpha must be a positive vector of length >= 2")

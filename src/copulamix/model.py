@@ -13,6 +13,13 @@ discrete column through ``discrete_index``, the column's sorted support
 and each row's position in it, so latent bounds are computed once per
 distinct value.
 
+Scoring works on all rows at once: ``mixture_logpdf_rows``,
+``posterior_probs_rows`` and ``posterior_and_logpdf_rows`` build one
+``discrete_index`` per call and score every component from it with
+``component_logpdf_rows``.  Rectangle probabilities at four or more discrete
+dimensions are randomized quasi-Monte Carlo estimates, so every scoring
+function takes the caller's generator.
+
 Three correlation families are supported: ``independent`` (every matrix is
 the identity, so the model collapses to a locally independent mixture),
 ``homoscedastic`` (one correlation matrix shared by all components — shared
@@ -36,9 +43,8 @@ __all__ = [
     "LOG_DENSITY_FLOOR",
     "ComponentParams", "MixtureParams", "LatentState",
     "discrete_index", "latent_geometry",
-    "component_logpdf", "component_logpdf_rows",
-    "mixture_logpdf", "mixture_logpdf_rows",
-    "posterior_probs", "posterior_probs_rows", "posterior_and_logpdf_rows",
+    "component_logpdf_rows", "mixture_logpdf_rows",
+    "posterior_probs_rows", "posterior_and_logpdf_rows",
     "generate", "schema_of",
     "params_to_json", "params_from_json",
 ]
@@ -188,12 +194,11 @@ class LatentState:
         object.__setattr__(self, "z", z)
 
 
-def schema_of(params: MixtureParams, names: tuple[str, ...] | None = None) -> Schema:
-    """Schema implied by the margin families (continuous-first order)."""
+def schema_of(params: MixtureParams) -> Schema:
+    """Schema implied by the margin families (continuous-first order), with
+    columns named x1, x2, ..."""
     kinds = [_kind_of_margin(m) for m in params.components[0].margins]
-    if names is None:
-        names = tuple(f"x{j + 1}" for j in range(len(kinds)))
-    return Schema(tuple(zip(names, kinds)))
+    return Schema(tuple((f"x{j + 1}", kind) for j, kind in enumerate(kinds)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,116 +246,74 @@ def latent_geometry(values: np.ndarray, index, component: ComponentParams):
     return y_c, log_cont, lower, upper, y_c @ coef, 0.5 * (cov + cov.T)
 
 
-def component_logpdf_rows(values: np.ndarray, component: ComponentParams,
-                          rng: np.random.Generator | None = None,
-                          rel_tol: float = 1e-4
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Component log density for every row of ``values``.
-
-    Returns (log densities, degenerate flags); a flagged row had its
-    rectangle probability underflow and carries the log-density floor.
-    """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    n = values.shape[0]
-    c = component.n_continuous
-    _, out, lo, hi, cond_mean, cond_cov = latent_geometry(
-        values, discrete_index(values, c), component)
+def component_logpdf_rows(values: np.ndarray, index, component: ComponentParams,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Component log density for every row of ``values``, whose
+    ``discrete_index`` is ``index``.  A row whose rectangle probability
+    underflows carries the log-density floor."""
+    _, out, lo, hi, cond_mean, cond_cov = latent_geometry(values, index,
+                                                          component)
     if component.n_discrete == 0:
-        return out, np.zeros(n, dtype=bool)
+        return out
 
     prob, _ = gauss.box_probabilities(cond_cov, lo - cond_mean, hi - cond_mean,
-                                      rng=rng, rel_tol=rel_tol)
+                                      rng)
 
     degenerate = ~(prob > 0) | ~np.isfinite(prob)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = out + np.where(degenerate, 0.0, np.log(np.maximum(prob, 1e-323)))
     degenerate |= ~np.isfinite(out) | (out < LOG_DENSITY_FLOOR)
-    out = np.where(degenerate, LOG_DENSITY_FLOOR, out)
-    return out, degenerate
-
-
-def component_logpdf(x: np.ndarray, component: ComponentParams,
-                     rng: np.random.Generator | None = None,
-                     rel_tol: float = 1e-4) -> float:
-    """Log density of one mixed observation under one component."""
-    value, _ = component_logpdf_rows(np.asarray(x, float)[None, :], component,
-                                     rng=rng, rel_tol=rel_tol)
-    return float(value[0])
+    return np.where(degenerate, LOG_DENSITY_FLOOR, out)
 
 
 def _component_log_matrix(values: np.ndarray, params: MixtureParams,
-                          rng: np.random.Generator | None, rel_tol: float
-                          ) -> np.ndarray:
-    cols = [component_logpdf_rows(values, comp, rng=rng, rel_tol=rel_tol)[0]
-            for comp in params.components]
-    return np.column_stack(cols)
+                          rng: np.random.Generator) -> np.ndarray:
+    index = discrete_index(values, params.n_continuous)
+    return np.column_stack([component_logpdf_rows(values, index, comp, rng)
+                            for comp in params.components])
 
 
 def mixture_logpdf_rows(values: np.ndarray, params: MixtureParams,
-                        rng: np.random.Generator | None = None,
-                        rel_tol: float = 1e-4) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Mixture log density for every row, via log-sum-exp over components."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    logs = _component_log_matrix(values, params, rng, rel_tol)
+    logs = _component_log_matrix(values, params, rng)
     return logsumexp(logs + np.log(params.proportions), axis=1)
 
 
-def mixture_logpdf(x: np.ndarray, params: MixtureParams,
-                   rng: np.random.Generator | None = None,
-                   rel_tol: float = 1e-4) -> float:
-    return float(mixture_logpdf_rows(np.asarray(x, float)[None, :], params,
-                                     rng=rng, rel_tol=rel_tol)[0])
-
-
 def posterior_and_logpdf_rows(values: np.ndarray, params: MixtureParams,
-                              rng: np.random.Generator | None = None,
-                              rel_tol: float = 1e-4
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Posterior membership probabilities, degeneracy flags and mixture log
-    density per row, from one evaluation of the component densities.
+                              rng: np.random.Generator
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior membership probabilities and mixture log density per row,
+    from one evaluation of the component densities.
 
     The probabilities are an (n, g) simplex matrix; a row where every
-    component underflowed is flagged and gets the uniform vector.  The log
-    density equals ``mixture_logpdf_rows``.
+    component underflowed gets the uniform vector.  The log density equals
+    ``mixture_logpdf_rows``.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    logs = _component_log_matrix(values, params, rng, rel_tol)
+    logs = _component_log_matrix(values, params, rng)
     degenerate = np.all(logs <= LOG_DENSITY_FLOOR, axis=1)
     logs = logs + np.log(params.proportions)
     log_density = logsumexp(logs, axis=1, keepdims=True)
     t = np.exp(logs - log_density)
     t /= t.sum(axis=1, keepdims=True)
     t[degenerate] = 1.0 / params.g
-    return t, degenerate, log_density[:, 0]
+    return t, log_density[:, 0]
 
 
 def posterior_probs_rows(values: np.ndarray, params: MixtureParams,
-                         rng: np.random.Generator | None = None,
-                         rel_tol: float = 1e-4
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior component membership probabilities per row.
-
-    Returns an (n, g) simplex matrix and per-row degeneracy flags; a row
-    where every component underflowed gets the uniform vector.
-    """
-    t, degenerate, _ = posterior_and_logpdf_rows(values, params, rng,
-                                                 rel_tol)
-    return t, degenerate
-
-
-def posterior_probs(x: np.ndarray, params: MixtureParams,
-                    rng: np.random.Generator | None = None,
-                    rel_tol: float = 1e-4) -> np.ndarray:
-    t, _ = posterior_probs_rows(np.asarray(x, float)[None, :], params,
-                                rng=rng, rel_tol=rel_tol)
-    return t[0]
+                         rng: np.random.Generator) -> np.ndarray:
+    """Posterior component membership probabilities per row: an (n, g)
+    simplex matrix; a row where every component underflowed gets the
+    uniform vector."""
+    return posterior_and_logpdf_rows(values, params, rng)[0]
 
 
 # ---------------------------------------------------------------------------
 # generation
 
-def generate(n: int, params: MixtureParams, rng: np.random.Generator,
-             names: tuple[str, ...] | None = None
+def generate(n: int, params: MixtureParams, rng: np.random.Generator
              ) -> tuple[MixedDataset, np.ndarray, np.ndarray]:
     """Draw n observations from the mixture.
 
@@ -361,7 +324,7 @@ def generate(n: int, params: MixtureParams, rng: np.random.Generator,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    schema = schema_of(params, names)
+    schema = schema_of(params)
     e = params.dim
     c = params.n_continuous
     z = rng.choice(params.g, size=n, p=params.proportions)

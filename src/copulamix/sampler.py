@@ -36,7 +36,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -151,10 +151,13 @@ def _weighted_margin_mle(col: np.ndarray, kind, w: np.ndarray
     return mg.OrdinalMargin(probs / probs.sum())
 
 
+_EM_RESTARTS = 5
+_EM_MAX_ITER = 200
+_EM_TOL = 1e-8  # relative log-likelihood gain that ends a restart
+
+
 def init_local_independent(dataset: MixedDataset, g: int,
-                           rng: np.random.Generator,
-                           n_restarts: int = 5, max_iter: int = 200,
-                           tol: float = 1e-8) -> MixtureParams:
+                           rng: np.random.Generator) -> MixtureParams:
     """Maximum likelihood fit of the locally independent mixture by EM.
 
     Several random-responsibility restarts are run and the best likelihood
@@ -176,7 +179,7 @@ def init_local_independent(dataset: MixedDataset, g: int,
 
     best = None
     best_ll = -np.inf
-    for restart in range(n_restarts):
+    for restart in range(_EM_RESTARTS):
         try:
             if g == 1:
                 resp = np.ones((n, 1))
@@ -192,7 +195,7 @@ def init_local_independent(dataset: MixedDataset, g: int,
             else:
                 resp = rng.dirichlet(np.ones(g), size=n)
             prev_ll = -np.inf
-            for _ in range(max_iter):
+            for _ in range(_EM_MAX_ITER):
                 pi = resp.mean(axis=0)
                 if np.any(pi <= 1e-10):
                     raise DegenerateFitError("empty component during EM")
@@ -202,7 +205,8 @@ def init_local_independent(dataset: MixedDataset, g: int,
                 row_ll = logsumexp(logs, axis=1, keepdims=True)
                 ll = float(row_ll[:, 0].sum())
                 resp = np.exp(logs - row_ll)
-                if ll - prev_ll <= tol * (1.0 + abs(ll)) and prev_ll > -np.inf:
+                if (ll - prev_ll <= _EM_TOL * (1.0 + abs(ll))
+                        and prev_ll > -np.inf):
                     break
                 prev_ll = ll
             if ll > best_ll:
@@ -560,8 +564,7 @@ def run_chain(dataset: MixedDataset, config: ChainConfig,
                 draws.append(_params_doc(params))
 
     estimate = acc.mean(config.family)
-    posterior, _, log_density = posterior_and_logpdf_rows(values, estimate,
-                                                          rng=rng)
+    posterior, log_density = posterior_and_logpdf_rows(values, estimate, rng)
     labels = np.argmax(posterior, axis=1)
     loglik = float(log_density.sum())
 
@@ -652,16 +655,8 @@ def fit(dataset: MixedDataset, config: ChainConfig,
         raise DegenerateFitError("every chain failed: " + "; ".join(failures))
     logliks = tuple(r.loglik for r in results)
     best = int(np.argmax(logliks))
-    chosen = results[best]
-    return FitResult(
-        params=chosen.params, labels=chosen.labels,
-        posterior=chosen.posterior, loglik=chosen.loglik,
-        accept_latent=chosen.accept_latent,
-        accept_margins=chosen.accept_margins,
-        chain_logliks=logliks, chain_index=best,
-        wall_time=time.perf_counter() - start,
-        messages=chosen.messages, draws=chosen.draws,
-    )
+    return replace(results[best], chain_logliks=logliks, chain_index=best,
+                   wall_time=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------

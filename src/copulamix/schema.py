@@ -1,9 +1,11 @@
 """Typed representation and ingestion of mixed datasets.
 
 A dataset column is continuous, integer-valued (counts) or ordinal with a
-known number of levels; binary columns are ordinal with two levels.  On load
-the columns are permuted continuous-first, which is the layout every other
-module assumes.
+known number of levels; binary columns are ordinal with two levels.  A
+dataset is a delimited text file with a header row (comma, semicolon or
+tab, read off the header; written with commas) plus a schema file of
+``<name> = <kind>`` lines.  On load the columns are permuted
+continuous-first, which is the layout every other module assumes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "parse_schema_text",
     "load_dataset",
     "save_dataset",
-    "summarize",
     "check_identifiability",
     "IdentifiabilityCheck",
 ]
@@ -87,7 +88,7 @@ class Schema:
     """Ordered column declaration, stored continuous-first.
 
     ``columns`` is a tuple of (name, kind) pairs already permuted so that the
-    first ``n_continuous`` entries are continuous and the rest discrete.
+    continuous entries come first and the discrete ones after them.
     ``file_order`` maps the stored position to the original column position,
     so ``stored_row = file_row[file_order]``.
     """
@@ -125,14 +126,6 @@ class Schema:
         return tuple(k for _, k in self.columns)
 
     @property
-    def n_continuous(self) -> int:
-        return sum(1 for _, k in self.columns if k.tag == CONTINUOUS)
-
-    @property
-    def n_discrete(self) -> int:
-        return len(self.columns) - self.n_continuous
-
-    @property
     def n_variables(self) -> int:
         return len(self.columns)
 
@@ -164,17 +157,6 @@ class MixedDataset:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
-
-    @property
-    def continuous_part(self) -> np.ndarray:
-        return self.values[:, : self.schema.n_continuous]
-
-    @property
-    def discrete_part(self) -> np.ndarray:
-        return self.values[:, self.schema.n_continuous:]
 
 
 def _validate_columns(schema: Schema, values: np.ndarray) -> None:
@@ -260,9 +242,10 @@ def _sniff_delimiter(header: str) -> str:
     return best if counts[best] > 0 else ","
 
 
-def load_dataset(data_path, schema_path, delimiter: str | None = None) -> MixedDataset:
+def load_dataset(data_path, schema_path) -> MixedDataset:
     """Load a delimited text file (header row required) against a schema file.
 
+    The delimiter (comma, semicolon or tab) is read off the header row.
     Columns are permuted continuous-first; ingestion rejects missing cells,
     out-of-range ordinal codes, negative counts and columns the schema does
     not mention.
@@ -270,16 +253,10 @@ def load_dataset(data_path, schema_path, delimiter: str | None = None) -> MixedD
     with open(schema_path, encoding="utf-8") as fh:
         declared = parse_schema_text(fh.read())
     with open(data_path, encoding="utf-8") as fh:
-        text = fh.read()
-    return loads_dataset(text, declared, delimiter=delimiter)
-
-
-def loads_dataset(text: str, declared: dict[str, VariableKind],
-                  delimiter: str | None = None) -> MixedDataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
         raise DataError("empty data file")
-    delim = delimiter or _sniff_delimiter(lines[0])
+    delim = _sniff_delimiter(lines[0])
     header = [h.strip() for h in lines[0].split(delim)]
     for name in header:
         if name not in declared:
@@ -315,14 +292,13 @@ def loads_dataset(text: str, declared: dict[str, VariableKind],
     return MixedDataset(schema, raw[:, list(schema.file_order)])
 
 
-def save_dataset(dataset: MixedDataset, data_path, schema_path,
-                 delimiter: str = ",") -> None:
-    """Write a dataset back to delimited text plus schema file (in original
-    file column order), such that a reload round-trips exactly."""
+def save_dataset(dataset: MixedDataset, data_path, schema_path) -> None:
+    """Write a dataset back to comma-separated text plus schema file (in
+    original file column order), such that a reload round-trips exactly."""
     schema = dataset.schema
     order = sorted(range(schema.n_variables), key=lambda j: schema.file_order[j])
     buf = io.StringIO()
-    buf.write(delimiter.join(schema.names[j] for j in order) + "\n")
+    buf.write(",".join(schema.names[j] for j in order) + "\n")
     for row in dataset.values:
         cells = []
         for j in order:
@@ -331,35 +307,9 @@ def save_dataset(dataset: MixedDataset, data_path, schema_path,
                 cells.append(str(int(round(v))))
             else:
                 cells.append(repr(float(v)))
-        buf.write(delimiter.join(cells) + "\n")
+        buf.write(",".join(cells) + "\n")
     with open(data_path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
     with open(schema_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(f"{schema.names[j]} = {schema.kinds[j]}" for j in order) + "\n")
 
-
-def summarize(dataset: MixedDataset) -> list[dict]:
-    """Per-column sample summary used for empirical hyper-parameter choices.
-
-    Returns one dict per column with mean, unbiased variance, min, max and,
-    for ordinal columns, per-level counts.  Requires n >= 2 for the variance.
-    """
-    if dataset.n < 2:
-        raise DataError("variance needs at least two rows")
-    out = []
-    for j, (name, kind) in enumerate(dataset.schema.columns):
-        col = dataset.column(j)
-        entry = {
-            "name": name,
-            "kind": str(kind),
-            "mean": float(np.mean(col)),
-            "variance": float(np.var(col, ddof=1)),
-            "min": float(np.min(col)),
-            "max": float(np.max(col)),
-            "degenerate": bool(np.all(col == col[0])),
-        }
-        if kind.tag == ORDINAL:
-            counts = np.bincount(col.astype(int), minlength=kind.levels + 1)[1:]
-            entry["level_counts"] = counts.tolist()
-        out.append(entry)
-    return out

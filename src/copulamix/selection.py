@@ -98,12 +98,6 @@ class CriterionReport:
 
     cells: tuple[CriterionCell, ...]
 
-    def cell(self, family: str, g: int) -> CriterionCell:
-        for c in self.cells:
-            if c.family == family and c.g == g:
-                return c
-        raise KeyError((family, g))
-
     def best(self, criterion: str = "bic") -> CriterionCell:
         usable = [c for c in self.cells if c.available]
         if not usable:

@@ -91,9 +91,8 @@ def conditional_latent_means(values: np.ndarray, component: ComponentParams,
 
 
 def project(dataset: MixedDataset, params: MixtureParams, k: int,
-            axes: tuple[int, int] = (0, 1),
-            rng: np.random.Generator | None = None, n_mc: int = 500
-            ) -> dict:
+            rng: np.random.Generator, axes: tuple[int, int] = (0, 1),
+            n_mc: int = 500) -> dict:
     """Project every row onto two PCA axes of component ``k``.
 
     ``axes`` are 0-based axis indices (a < b).  Returns a dict with the
@@ -103,14 +102,13 @@ def project(dataset: MixedDataset, params: MixtureParams, k: int,
     a, b = axes
     if not (0 <= a < b < params.dim):
         raise ValueError("need 0 <= first axis < second axis < dimension")
-    rng = rng or np.random.default_rng(0)
     comp = params.components[k]
     pca = component_pca(comp.correlation, k)
     mean, err = conditional_latent_means(dataset.values, comp, rng, n_mc=n_mc)
     basis = pca.axes[:, [a, b]]
     scores = mean @ basis
     score_err = np.sqrt((err * err) @ (basis * basis))
-    t, _ = posterior_probs_rows(dataset.values, params, rng=rng)
+    t = posterior_probs_rows(dataset.values, params, rng)
     return {
         "scores": scores,
         "labels": np.argmax(t, axis=1),

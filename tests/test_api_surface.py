@@ -1,7 +1,7 @@
 """No public function exists that only tests call.
 
 Every name a ``copulamix`` module lists in ``__all__`` must be referenced
-by the package's own code, or re-exported by its ``__init__``.  A
+by the package's own code; a re-export by ``__init__`` is not a caller.  A
 reference counts only from code that is itself in use: a top-level
 definition that is not public, or a public one that passes this test.  So
 public helpers that call only each other fail together.
@@ -67,8 +67,6 @@ def _references(module, tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             refs[(module, node.name)] = targets(node)
-        elif module == "__init__" and isinstance(node, ast.ImportFrom):
-            refs[(module, None)] |= set(names.values())
         else:
             refs[(module, None)] |= targets(node)
     return refs

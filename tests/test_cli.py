@@ -171,6 +171,15 @@ class TestSelect:
                     str(sim_dir / "schema.txt"), "--thin", "2",
                     "--out", str(tmp_path / "s"), *FAST]) == cli.EXIT_USAGE
 
+    def test_empty_family_list_is_usage_error(self, sim_dir, tmp_path,
+                                              capsys):
+        out = tmp_path / "sel"
+        assert run(["select", str(sim_dir / "data.csv"),
+                    str(sim_dir / "schema.txt"), "--families", ",",
+                    "--out", str(out), *FAST]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_keeps_no_draws(self, sim_dir, tmp_path, monkeypatch):
         kept = []
         real_fit = sp.fit

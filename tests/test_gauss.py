@@ -216,8 +216,8 @@ class TestBoxProbabilities:
             return value, err
 
         monkeypatch.setattr(gauss, "_mvn_qmc_batch", counting)
-        value, err = gauss.box_probabilities(cov, a, b, rng, rel_tol=1e-4,
-                                             max_points=5000)
+        monkeypatch.setattr(gauss, "_QMC_MAX_POINTS", 5000)
+        value, err = gauss.box_probabilities(cov, a, b, rng)
         assert calls[0][0] == list(range(12))
         assert max(points for _, points, _, _ in calls) == 5000
         assert 0 < len(calls[-1][0]) < 12  # some rows stop early, some hit the cap
@@ -348,7 +348,7 @@ class TestGhkRows:
                                   lo * rows, hi * rows, rng)
         w = np.exp(log_w)
         exact, _ = gauss.box_probabilities(cov, (lo - mean)[None, :],
-                                           (hi - mean)[None, :])
+                                           (hi - mean)[None, :], rng)
         assert abs(w.mean() - exact[0]) < 4 * w.std(ddof=1) / np.sqrt(n)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from conftest import random_correlation_matrix
+from conftest import component_logpdf, random_correlation_matrix
 
 from copulamix import margins as mg, model as mx
 
@@ -122,7 +122,7 @@ class TestComponentLogpdf:
             x = ds.values[0]
             expected = sum(mg.logpdf_array(x[j], comp.margins[j])
                            for j in range(comp.dim))
-            assert mx.component_logpdf(x, comp_ind, rng) == \
+            assert component_logpdf(x, comp_ind, rng) == \
                 pytest.approx(expected, abs=1e-10)
 
     def test_all_continuous_is_mvn(self):
@@ -135,8 +135,8 @@ class TestComponentLogpdf:
         cov = corr * np.outer(sds, sds)
         x = np.array([0.3, 2.0, -1.5])
         expected = stats.multivariate_normal(mus, cov).logpdf(x)
-        assert mx.component_logpdf(x, comp, rng) == pytest.approx(expected,
-                                                                  rel=1e-10)
+        assert component_logpdf(x, comp, rng) == pytest.approx(expected,
+                                                               rel=1e-10)
 
     def test_density_sums_to_one_small_schema(self):
         # 1 continuous (quadrature grid) x 1 binary: total mass within 1e-4
@@ -148,7 +148,8 @@ class TestComponentLogpdf:
         total = 0.0
         for level in (1.0, 2.0):
             rows = np.column_stack([xs, np.full_like(xs, level)])
-            dens = np.exp(mx.component_logpdf_rows(rows, comp, rng)[0])
+            index = mx.discrete_index(rows, 1)
+            dens = np.exp(mx.component_logpdf_rows(rows, index, comp, rng))
             total += np.trapezoid(dens, xs)
         assert total == pytest.approx(1.0, abs=1e-4)
 
@@ -156,9 +157,8 @@ class TestComponentLogpdf:
         # an ordinal level of vanishing probability drives the box to zero
         comp = mx.ComponentParams(np.eye(1),
                                   (mg.OrdinalMargin([1.0 - 1e-300, 1e-300]),))
-        vals, flags = mx.component_logpdf_rows(np.array([[2.0]]), comp)
-        assert flags[0]
-        assert vals[0] == mx.LOG_DENSITY_FLOOR
+        assert component_logpdf([2.0], comp, np.random.default_rng(0)) == \
+            mx.LOG_DENSITY_FLOOR
 
 
 class TestMixture:
@@ -167,36 +167,67 @@ class TestMixture:
         comp1, _ = example_components()
         params = mx.MixtureParams(np.array([1.0]), (comp1,))
         x = np.array([-2.0, 5.0, 1.0])
-        assert mx.mixture_logpdf(x, params, rng) == pytest.approx(
-            mx.component_logpdf(x, comp1, rng), rel=1e-12)
+        assert mx.mixture_logpdf_rows(x, params, rng)[0] == pytest.approx(
+            component_logpdf(x, comp1, rng), rel=1e-12)
 
     def test_identical_components_collapse(self):
         rng = np.random.default_rng(4)
         comp1, _ = example_components()
         params = mx.MixtureParams(np.array([0.3, 0.7]), (comp1, comp1))
         x = np.array([-1.0, 4.0, 2.0])
-        assert mx.mixture_logpdf(x, params, rng) == pytest.approx(
-            mx.component_logpdf(x, comp1, rng), rel=1e-10)
+        assert mx.mixture_logpdf_rows(x, params, rng)[0] == pytest.approx(
+            component_logpdf(x, comp1, rng), rel=1e-10)
 
     def test_posterior_sums_to_one(self):
         rng = np.random.default_rng(5)
         params = example_mixture()
         ds, _, _ = mx.generate(50, params, rng)
-        t, _ = mx.posterior_probs_rows(ds.values, params, rng)
+        t = mx.posterior_probs_rows(ds.values, params, rng)
         np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-12)
 
     def test_posterior_identical_components_gives_pi(self):
         rng = np.random.default_rng(6)
         comp1, _ = example_components()
         params = mx.MixtureParams(np.array([0.3, 0.7]), (comp1, comp1))
-        t = mx.posterior_probs(np.array([-1.0, 4.0, 1.0]), params, rng)
-        np.testing.assert_allclose(t, [0.3, 0.7], atol=1e-10)
+        t = mx.posterior_probs_rows(np.array([-1.0, 4.0, 1.0]), params, rng)
+        np.testing.assert_allclose(t[0], [0.3, 0.7], atol=1e-10)
 
     def test_posterior_strong_assignment(self):
         rng = np.random.default_rng(7)
-        t = mx.posterior_probs(np.array([2.0, 15.0, 1.0]), example_mixture(),
-                               rng)
-        assert t[1] > 0.99
+        t = mx.posterior_probs_rows(np.array([2.0, 15.0, 1.0]),
+                                    example_mixture(), rng)
+        assert t[0, 1] > 0.99
+
+    def test_scoring_indexes_discrete_columns_once(self, monkeypatch):
+        calls = []
+        real = mx.discrete_index
+
+        def counting(values, c):
+            calls.append(c)
+            return real(values, c)
+
+        monkeypatch.setattr(mx, "discrete_index", counting)
+        rng = np.random.default_rng(13)
+        params = example_mixture()
+        ds, _, _ = mx.generate(100, params, rng)
+        mx.mixture_logpdf_rows(ds.values, params, rng)
+        assert calls == [1]
+
+    def test_row_underflowing_everywhere_is_uniform_at_floor(self):
+        # the level of mass 1e-300 underflows the box under both components
+        margins = (mg.GaussianMargin(0.0, 1.0),
+                   mg.OrdinalMargin([1.0 - 1e-300, 1e-300]))
+        corr = np.array([[1.0, 0.3], [0.3, 1.0]])
+        params = mx.MixtureParams(np.array([0.25, 0.75]),
+                                  (mx.ComponentParams(np.eye(2), margins),
+                                   mx.ComponentParams(corr, margins)))
+        rows = np.array([[0.5, 2.0], [0.5, 1.0]])
+        rng = np.random.default_rng(0)
+        t = mx.posterior_probs_rows(rows, params, rng)
+        log_density = mx.mixture_logpdf_rows(rows, params, rng)
+        np.testing.assert_array_equal(t[0], [0.5, 0.5])
+        assert log_density[0] == mx.LOG_DENSITY_FLOOR
+        assert log_density[1] > mx.LOG_DENSITY_FLOOR
 
 
 class TestGenerate:

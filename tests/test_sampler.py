@@ -219,7 +219,7 @@ class TestStepLatent:
         rng = np.random.default_rng(9)
         params = example_mixture()
         ds, _, _ = mx.generate(400, params, rng)
-        t, _ = mx.posterior_probs_rows(ds.values, params, rng=rng)
+        t = mx.posterior_probs_rows(ds.values, params, rng)
         index = mx.discrete_index(ds.values, 1)
         state = sp.initial_latent_state(ds.values, index, params, rng)
         hits = np.zeros(ds.n)
@@ -358,7 +358,7 @@ class TestLatentStepLaw:
                                       _continuous_only_case])
     def test_chain_matches_exact_draws(self, case):
         params, rows = case()
-        t, _ = mx.posterior_probs_rows(rows, params)
+        t = mx.posterior_probs_rows(rows, params, np.random.default_rng(0))
         assert np.all((t > 0.2) & (t < 0.8))
         m, c = rows.shape[0], params.n_continuous
         values = np.repeat(rows, self.replicas, axis=0)
@@ -611,9 +611,10 @@ class TestFit:
         ds, _, _ = mx.generate(150, example_mixture(), rng)
         cfg = sp.ChainConfig(g=2, iterations=8, burn_in=2, n_chains=1)
         res = sp.run_chain(ds, cfg, np.random.default_rng(26))
-        assert res.loglik == float(
-            mx.mixture_logpdf_rows(ds.values, res.params).sum())
-        posterior, _ = mx.posterior_probs_rows(ds.values, res.params)
+        assert res.loglik == float(mx.mixture_logpdf_rows(
+            ds.values, res.params, np.random.default_rng(0)).sum())
+        posterior = mx.posterior_probs_rows(ds.values, res.params,
+                                            np.random.default_rng(0))
         np.testing.assert_array_equal(res.posterior, posterior)
         np.testing.assert_array_equal(res.labels, np.argmax(posterior, axis=1))
 

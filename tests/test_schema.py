@@ -35,8 +35,7 @@ class TestSchema:
     def test_continuous_first_permutation(self):
         schema = make_schema()
         assert schema.names == ("height", "count", "grade")
-        assert schema.n_continuous == 1
-        assert schema.n_discrete == 2
+        assert [k.is_discrete for k in schema.kinds] == [False, True, True]
         # stored_row = file_row[file_order]
         assert schema.file_order == (1, 0, 2)
 
@@ -72,8 +71,6 @@ class TestDatasetValidation:
         values = np.array([[1.5, 3, 2], [0.2, 0, 1]])
         ds = sc.MixedDataset(schema, values)
         assert ds.n == 2
-        assert ds.continuous_part.shape == (2, 1)
-        assert ds.discrete_part.shape == (2, 2)
 
     def test_values_read_only(self):
         ds = sc.MixedDataset(make_schema(), np.array([[1.5, 3, 2]]))
@@ -171,20 +168,3 @@ class TestLoadSave:
         (tmp_path / "s.txt").write_text("a = continuous\nb = integer\n")
         with pytest.raises(sc.DataError, match="non-numeric"):
             sc.load_dataset(tmp_path / "d.csv", tmp_path / "s.txt")
-
-
-class TestSummarize:
-    def test_summary_contents(self):
-        ds = sc.MixedDataset(make_schema(),
-                             np.array([[1.0, 3, 2], [3.0, 1, 2]]))
-        rows = sc.summarize(ds)
-        by_name = {r["name"]: r for r in rows}
-        assert by_name["height"]["mean"] == 2.0
-        assert by_name["height"]["variance"] == 2.0
-        assert by_name["grade"]["level_counts"] == [0, 2, 0]
-        assert by_name["grade"]["degenerate"]
-
-    def test_needs_two_rows(self):
-        ds = sc.MixedDataset(make_schema(), np.array([[1.0, 3, 2]]))
-        with pytest.raises(sc.DataError):
-            sc.summarize(ds)

@@ -221,10 +221,11 @@ class TestProject:
 
     def test_axis_validation(self, data):
         ds, _, params = data
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            viz.project(ds, params, 0, axes=(1, 0))
+            viz.project(ds, params, 0, rng, axes=(1, 0))
         with pytest.raises(ValueError):
-            viz.project(ds, params, 0, axes=(0, 3))
+            viz.project(ds, params, 0, rng, axes=(0, 3))
 
 
 class TestCsvExport:
