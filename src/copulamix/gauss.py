@@ -1,15 +1,14 @@
 """Multivariate normal numerics.
 
-Cholesky factors with jitter repair, correlation normalization, the
-regression of one coordinate on the rest, row-wise normal log densities and
-inverse Wishart draws.  Truncated normals: one-dimensional draws per row,
-log interval masses stable in both tails, the GHK sequential draw (or
-score) of a box-truncated vector that the sampler's latent move proposes,
-and GHK importance-sampling means of such a vector for the visualization.
-Rectangle (box) probabilities score fitted mixtures: a closed form in one
-dimension, a deterministic Drezner/Genz algorithm in two, a Gauss-Legendre
-conditioning rule in three and randomized quasi-Monte Carlo separation of
-variables beyond that.
+Cholesky factors with jitter repair, correlation normalization, row-wise
+normal log densities and inverse Wishart draws.  Truncated normals:
+one-dimensional draws per row, log interval masses stable in both tails, the
+GHK sequential draw (or score) of a box-truncated vector that the sampler's
+latent move proposes, and GHK importance-sampling means of such a vector for
+the visualization.  Rectangle (box) probabilities score fitted mixtures: a
+closed form in one dimension, a deterministic Drezner/Genz algorithm in two,
+a Gauss-Legendre conditioning rule in three and randomized quasi-Monte Carlo
+separation of variables beyond that.
 
 Everything is a pure function of its inputs plus a caller-supplied
 ``numpy.random.Generator``; batch variants share one covariance across many
@@ -19,7 +18,6 @@ rows of bounds, which is the shape the sampler needs.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 __all__ = [
@@ -46,18 +44,21 @@ def chol_spd(matrix: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with bounded jitter repair.
 
     Jitter starts at 1e-10 on the diagonal and escalates tenfold up to 1e-6
-    before giving up.
+    before giving up.  A NaN or infinite entry raises ``ValueError``, which
+    numpy's factorization would not: it returns NaNs.
     """
     matrix = np.asarray(matrix, dtype=float)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix must not contain infs or NaNs")
     try:
-        return cholesky(matrix, lower=True)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         pass
     jitter = _JITTER_START
     eye = np.eye(matrix.shape[0])
     while jitter <= _JITTER_MAX:
         try:
-            return cholesky(matrix + jitter * eye, lower=True)
+            return np.linalg.cholesky(matrix + jitter * eye)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError("matrix is not positive definite (jitter repair failed)")
@@ -86,17 +87,6 @@ def normalize_to_correlation(covariance: np.ndarray) -> np.ndarray:
     np.fill_diagonal(corr, 1.0)
     chol_spd(corr)  # raises if indefinite beyond repair
     return corr
-
-
-def conditional_coefficients(cov: np.ndarray, j: int) -> tuple[np.ndarray, float]:
-    """Regression coefficients and residual variance of coordinate ``j``
-    given the remaining coordinates."""
-    dim = cov.shape[0]
-    rest = np.delete(np.arange(dim), j)
-    factor = cho_factor(cov[np.ix_(rest, rest)], lower=True)
-    coef = cho_solve(factor, cov[rest, j])
-    var = float(cov[j, j] - cov[j, rest] @ coef)
-    return coef, max(var, 1e-14)
 
 
 def mvn_logpdf_rows(y: np.ndarray, cov: np.ndarray) -> np.ndarray:

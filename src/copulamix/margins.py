@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, ndtri_exp, pdtr, pdtrc
+from scipy.special import gammaln, ndtr, ndtri, ndtri_exp, pdtr, pdtrc, pdtrik
 
 __all__ = [
     "GaussianMargin", "PoissonMargin", "OrdinalMargin", "MarginParams",
@@ -133,8 +133,10 @@ def quantile_array(u, margin: MarginParams) -> np.ndarray:
     if isinstance(margin, GaussianMargin):
         return margin.mu + margin.sigma * ndtri(u)
     if isinstance(margin, PoissonMargin):
-        from scipy.stats import poisson
-        return poisson.ppf(u, margin.rate)
+        # scipy.stats.poisson.ppf's recipe, without importing scipy.stats
+        k = np.ceil(pdtrik(u, margin.rate))
+        below = np.maximum(k - 1.0, 0.0)
+        return np.where(pdtr(below, margin.rate) >= u, below, k)
     cum = np.cumsum(margin.probs)
     cum[-1] = 1.0
     return np.searchsorted(cum, u, side="left") + 1.0

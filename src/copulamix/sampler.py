@@ -118,17 +118,17 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # initialization: EM for the locally independent mixture
 
-def _independent_loglik_matrix(values: np.ndarray,
-                               comps: list[list[mg.MarginParams]],
+def _independent_loglik_matrix(index, comps: list[list[mg.MarginParams]],
                                log_pi: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    out = np.empty((n, len(comps)))
+    """(n, g) log pi_k plus margin log densities, each margin evaluated on its
+    column's distinct values: ``index`` is ``discrete_index(values, 0)``."""
+    out = []
     for k, margins_k in enumerate(comps):
-        acc = np.full(n, log_pi[k])
-        for j, margin in enumerate(margins_k):
-            acc = acc + mg.logpdf_array(values[:, j], margin, clip=True)
-        out[:, k] = acc
-    return out
+        acc = log_pi[k]
+        for (points, rows), margin in zip(index, margins_k):
+            acc = acc + mg.logpdf_array(points, margin, clip=True)[rows]
+        out.append(acc)
+    return np.column_stack(out)
 
 
 def _weighted_margin_mle(col: np.ndarray, kind, w: np.ndarray
@@ -171,6 +171,7 @@ def init_local_independent(dataset: MixedDataset, g: int,
     n = dataset.n
     kinds = dataset.schema.kinds
     eye = np.eye(len(kinds))
+    index = discrete_index(values, 0)
 
     # standardized coordinates used by the anchor-based restarts
     scale = np.std(values, axis=0)
@@ -201,7 +202,7 @@ def init_local_independent(dataset: MixedDataset, g: int,
                     raise DegenerateFitError("empty component during EM")
                 comps = [[_weighted_margin_mle(values[:, j], kinds[j], resp[:, k])
                           for j in range(len(kinds))] for k in range(g)]
-                logs = _independent_loglik_matrix(values, comps, np.log(pi))
+                logs = _independent_loglik_matrix(index, comps, np.log(pi))
                 row_ll = logsumexp(logs, axis=1, keepdims=True)
                 ll = float(row_ll[:, 0].sum())
                 resp = np.exp(logs - row_ll)
@@ -331,6 +332,13 @@ def _cond_obs_loglik(x_col: np.ndarray, margin: mg.MarginParams, box,
     return gauss.log_gaussian_interval((lo - mu_t) / sd_t, (hi - mu_t) / sd_t)
 
 
+def _column_regressions(corr: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """Each coordinate j's regression on the rest under N(0, corr), from the
+    precision P: coefficients -P[j, rest] / P[j, j], variance 1 / P[j, j]."""
+    return [(-np.delete(row, j) / row[j], max(1.0 / row[j], 1e-14))
+            for j, row in enumerate(np.linalg.inv(corr))]
+
+
 def step_margins(values: np.ndarray, index, params: MixtureParams,
                  state: LatentState, priors: list[mg.MarginPrior],
                  rng: np.random.Generator
@@ -355,10 +363,12 @@ def step_margins(values: np.ndarray, index, params: MixtureParams,
     independent = params.family == INDEPENDENT
     margins_by_comp = [list(comp.margins) for comp in params.components]
     accepted = np.zeros((params.g, e))
+    regressions = [_column_regressions(comp.correlation)
+                   for comp in params.components]
 
     for j in range(e):
         rest = np.delete(np.arange(e), j)
-        for k, comp in enumerate(params.components):
+        for k in range(params.g):
             rows = np.flatnonzero(z == k)
             x_col = values[rows, j]
             old = margins_by_comp[k][j]
@@ -372,17 +382,14 @@ def step_margins(values: np.ndarray, index, params: MixtureParams,
                 box_cand = tuple(b[at] for b in
                                  mg.latent_bounds_arrays(support, cand))
 
-            if independent:
-                mu_t = np.zeros(rows.size)
-                sd_t = np.ones(rows.size)
-                take = True
-            else:
+            coef, var = regressions[k][j]
+            mu_t = y[np.ix_(rows, rest)] @ coef
+            sd_t = np.full(rows.size, np.sqrt(var))
+            take = independent
+            if not independent:
                 if j >= c:
                     box_old = tuple(b[at] for b in
                                     mg.latent_bounds_arrays(support, old))
-                coef, var = gauss.conditional_coefficients(comp.correlation, j)
-                mu_t = y[np.ix_(rows, rest)] @ coef
-                sd_t = np.full(rows.size, np.sqrt(var))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     if j >= c:
                         ll_ind_old = mg.logpdf_array(support, old)[at].sum()

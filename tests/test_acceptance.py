@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from conftest import component_logpdf, random_correlation_matrix
 
@@ -21,7 +20,7 @@ from copulamix import (
     selection as sel, viz,
 )
 from copulamix.schema import (
-    MixedDataset, Schema, continuous, integer, load_dataset, ordinal,
+    Schema, continuous, integer, load_dataset, ordinal,
 )
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")

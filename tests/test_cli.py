@@ -1,6 +1,5 @@
 import filecmp
 import json
-import os
 import subprocess
 import sys
 
@@ -279,3 +278,18 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_simulate_imports_no_scipy_linalg_or_stats(self, tmp_path):
+        # numpy factors the small matrices and scipy.special inverts the
+        # Poisson cdf; either import would cost every command memory and
+        # start-up time
+        script = (
+            "import sys, copulamix.cli\n"
+            "code = copulamix.cli.main(['simulate', '--preset', 'example1',"
+            f" '--n', '50', '--out', {str(tmp_path / 'sim')!r}])\n"
+            "print(code, [m for m in ('scipy.linalg', 'scipy.stats')"
+            " if m in sys.modules])\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{cli.EXIT_OK} []"

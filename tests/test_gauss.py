@@ -35,6 +35,13 @@ class TestLinearAlgebra:
         with pytest.raises(gauss.NumericalError):
             gauss.chol_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_chol_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            gauss.chol_spd(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ValueError):
+            gauss.chol_spd(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_normalize_to_correlation(self):
         cov = np.array([[4.0, 1.2], [1.2, 9.0]])
         corr = gauss.normalize_to_correlation(cov)

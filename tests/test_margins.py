@@ -55,6 +55,14 @@ class TestCdfQuantile:
             assert np.all(mg.cdf_array(x, m) >= u - 1e-12)
             assert np.all(mg.cdf_array(x - 1.0, m) < u)
 
+    def test_poisson_quantile_matches_scipy_exactly(self):
+        tail = np.geomspace(1e-12, 0.5, 300)
+        u = np.concatenate([tail, np.linspace(0.01, 0.99, 99), 1.0 - tail])
+        for rate in np.geomspace(0.05, 200.0, 40):
+            np.testing.assert_array_equal(
+                mg.quantile_array(u, mg.PoissonMargin(rate)),
+                stats.poisson.ppf(u, rate))
+
     def test_quantile_rejects_boundary(self):
         with pytest.raises(ValueError):
             mg.quantile_array(0.0, mg.PoissonMargin(1.0))

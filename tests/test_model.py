@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtr
 
 from conftest import component_logpdf, random_correlation_matrix
 

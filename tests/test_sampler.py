@@ -11,7 +11,7 @@ from scipy import stats
 from conftest import random_correlation_matrix
 
 from copulamix import gauss, margins as mg, model as mx, sampler as sp
-from copulamix.schema import MixedDataset, Schema, continuous, integer, ordinal
+from copulamix.schema import MixedDataset, Schema, continuous, ordinal
 
 
 def example_mixture():
@@ -94,6 +94,7 @@ class TestInitLocalIndependent:
         values = ds.values
         kinds = ds.schema.kinds
         resp = rng.dirichlet(np.ones(2), size=ds.n)
+        index = mx.discrete_index(values, 0)
         from scipy.special import logsumexp
         logliks = []
         for _ in range(40):
@@ -101,7 +102,7 @@ class TestInitLocalIndependent:
             comps = [[sp._weighted_margin_mle(values[:, j], kinds[j],
                                               resp[:, k])
                       for j in range(3)] for k in range(2)]
-            logs = sp._independent_loglik_matrix(values, comps, np.log(pi))
+            logs = sp._independent_loglik_matrix(index, comps, np.log(pi))
             logliks.append(float(logsumexp(logs, axis=1).sum()))
             resp = np.exp(logs - logsumexp(logs, axis=1, keepdims=True))
         diffs = np.diff(logliks)
@@ -441,6 +442,19 @@ class TestStepMargins:
         assert comp.margins[0].sigma > 0
         assert comp.margins[1].rate > 0
 
+    def test_column_regressions_match_schur_complement(self):
+        rng = np.random.default_rng(17)
+        for e in range(2, 7):
+            for _ in range(5):
+                corr = random_correlation_matrix(e, rng)
+                for j, (coef, var) in enumerate(sp._column_regressions(corr)):
+                    rest = np.delete(np.arange(e), j)
+                    ref = np.linalg.solve(corr[np.ix_(rest, rest)],
+                                          corr[rest, j])
+                    np.testing.assert_allclose(coef, ref, rtol=0, atol=1e-12)
+                    assert var == pytest.approx(
+                        corr[j, j] - corr[j, rest] @ ref, rel=0, abs=1e-12)
+
     def test_discrete_columns_checked_on_their_support(self, monkeypatch):
         # a discrete column never changes during a fit, so its margins are
         # evaluated (and support-checked) once per distinct value, never
@@ -460,11 +474,14 @@ class TestStepMargins:
 
         monkeypatch.setattr(mg, "_check_support", recording_check)
         cfg = sp.ChainConfig(g=2, iterations=5, burn_in=2, n_chains=1)
-        sp.run_chain(ds, cfg, np.random.default_rng(41), init=params)
-        assert {kind for kind, _ in sizes} == set(distinct)
-        too_large = [(kind.__name__, size) for kind, size in sizes
-                     if size > distinct[kind]]
-        assert not too_large, too_large
+        # from the truth, and from the EM initialization
+        for init in (params, None):
+            sizes.clear()
+            sp.run_chain(ds, cfg, np.random.default_rng(41), init=init)
+            assert {kind for kind, _ in sizes} == set(distinct)
+            too_large = [(kind.__name__, size) for kind, size in sizes
+                         if size > distinct[kind]]
+            assert not too_large, (init is None, too_large)
 
     def test_binary_conjugate_posterior_mean(self):
         # single binary column, identity correlation, all observations at
