@@ -295,7 +295,7 @@ def _fit_metrics(dataset: MixedDataset, labels_true: np.ndarray,
     est = result.params
     kl, kl_se, dropped = kl_divergence_mc(
         sample_true, logpdf_true,
-        lambda v: mixture_logpdf_rows(v, est, rng),
+        lambda v: mixture_logpdf_rows(v, est),
         n_kl, rng)
     err = misclassification_rate(result.labels, labels_true)
     k1 = _align_first_component(result.labels, labels_true, config.g)
@@ -337,7 +337,7 @@ def run_simulation_study(study: str, sample_sizes, replicates: int,
                     ds, z, _ = generate(int(n), truth, rng)
                     metrics = _fit_metrics(
                         ds, z, lambda m, r: generate(m, truth, r)[0].values,
-                        lambda v: mixture_logpdf_rows(v, truth, rng),
+                        lambda v: mixture_logpdf_rows(v, truth),
                         "mu", cfg, rng, n_kl)
                 else:
                     truth = karlis_params()

@@ -7,12 +7,12 @@ GHK sequential draw (or score) of a box-truncated vector that the sampler's
 latent move proposes, and GHK importance-sampling means of such a vector for
 the visualization.  Rectangle (box) probabilities score fitted mixtures: a
 closed form in one dimension, a deterministic Drezner/Genz algorithm in two,
-a Gauss-Legendre conditioning rule in three and randomized quasi-Monte Carlo
-separation of variables beyond that.
+a Gauss-Legendre conditioning rule in three and a quasi-Monte Carlo lattice
+rule on Genz's separation of variables beyond that.
 
-Everything is a pure function of its inputs plus a caller-supplied
-``numpy.random.Generator``; batch variants share one covariance across many
-rows of bounds, which is the shape the sampler needs.
+Everything is a pure function of its inputs, plus a caller-supplied
+``numpy.random.Generator`` where it draws; batch variants share one
+covariance across many rows of bounds, which is the shape the sampler needs.
 """
 
 from __future__ import annotations
@@ -456,28 +456,30 @@ def _trivariate_rectangle(cov: np.ndarray, lower: np.ndarray,
 
 _QMC_PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                         47, 53, 59, 61, 67, 71], dtype=float)
-_QMC_SHIFTS = 8
+# fixed shifts s sqrt(p + 1/2), s = 1..8, not multiples of the generators
+# sqrt(p), which would put every shifted lattice on the same points; the
+# lattice takes them mod 1 (a % here raised every command's peak memory)
+_QMC_SHIFT_TABLE = np.outer(np.arange(1, 9), np.sqrt(_QMC_PRIMES + 0.5))
 _QMC_REL_TOL = 1e-4  # a row's error target, relative to its value
 _QMC_MAX_POINTS = 20000  # points per shift, at most
 
 
 def _mvn_qmc_batch(chol: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                   rng: np.random.Generator, n_points: int
+                   shifts: np.ndarray, n_points: int
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Genz separation-of-variables rectangle probability with a randomly
-    shifted rank-1 lattice.  Returns per-row estimates and standard errors
-    for (n, d) bound arrays sharing one Cholesky factor."""
+    """Genz separation-of-variables rectangle probability with a rank-1
+    lattice under each row of ``shifts`` (m, d - 1).  Returns per-row
+    estimates and 3 standard errors over the shifts for (n, d) bounds."""
     n, d = lower.shape
     diag = np.diag(chol)
     eps = 1e-15
 
-    gen = np.sqrt(_QMC_PRIMES[: max(d - 1, 1)])
+    gen = np.sqrt(_QMC_PRIMES[: d - 1])
     kvec = np.arange(1, n_points + 1)[:, None]
     base = kvec * gen[None, :]  # (q, d-1)
 
-    estimates = np.zeros((_QMC_SHIFTS, n))
-    for s in range(_QMC_SHIFTS):
-        shift = rng.uniform(size=max(d - 1, 1))
+    estimates = np.zeros((len(shifts), n))
+    for s, shift in enumerate(shifts):
         w = np.abs(2.0 * np.modf(base + shift)[0] - 1.0)  # antithetic fold
         # sequential conditioning, vectorized over (points, rows)
         dlo = ndtr(np.broadcast_to(lower[:, 0] / diag[0], (n_points, n)))
@@ -494,21 +496,20 @@ def _mvn_qmc_batch(chol: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         estimates[s] = f.mean(axis=0)
 
     value = estimates.mean(axis=0)
-    err = estimates.std(axis=0, ddof=1) / np.sqrt(_QMC_SHIFTS)
+    err = estimates.std(axis=0, ddof=1) / np.sqrt(len(shifts))
     return np.clip(value, 0.0, 1.0), 3.0 * err
 
 
-def box_probabilities(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                      rng: np.random.Generator
+def box_probabilities(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-mean rectangle probabilities for many rows sharing one covariance.
 
-    Returns (values, error estimates); the d <= 3 paths are deterministic,
-    ignore ``rng`` and report a small constant error bound.  Beyond that,
-    quasi-Monte Carlo starts at 512 points per shift and doubles, up to
-    ``_QMC_MAX_POINTS`` (20 000), for the rows whose error still exceeds
-    ``_QMC_REL_TOL`` (1e-4) of their value; a row that has converged keeps
-    its value and error.
+    Returns (values, error estimates), deterministically; the d <= 3 paths
+    report a small constant error bound.  Beyond that, a lattice rule under
+    the 8 fixed shifts of ``_QMC_SHIFT_TABLE`` (Genz & Bretz 2009) starts at
+    512 points per shift and doubles, up to ``_QMC_MAX_POINTS`` (20 000),
+    for the rows whose error still exceeds ``_QMC_REL_TOL`` (1e-4) of their
+    value; a row that has converged keeps its value and error.
     """
     cov = np.asarray(cov, dtype=float)
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
@@ -529,12 +530,13 @@ def box_probabilities(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         return _trivariate_rectangle(cov, lower, upper), np.full(n, 1e-8)
 
     chol = chol_spd(cov)
+    shifts = _QMC_SHIFT_TABLE[:, : d - 1]
     pts = 512
-    value, err = _mvn_qmc_batch(chol, lower, upper, rng, pts)
+    value, err = _mvn_qmc_batch(chol, lower, upper, shifts, pts)
     todo = np.flatnonzero(err > np.maximum(_QMC_REL_TOL * value, 1e-12))
     while todo.size and pts < _QMC_MAX_POINTS:
         pts = min(2 * pts, _QMC_MAX_POINTS)
-        v, e = _mvn_qmc_batch(chol, lower[todo], upper[todo], rng, pts)
+        v, e = _mvn_qmc_batch(chol, lower[todo], upper[todo], shifts, pts)
         value[todo] = v
         err[todo] = e
         todo = todo[e > np.maximum(_QMC_REL_TOL * v, 1e-12)]

@@ -16,9 +16,7 @@ distinct value.
 Scoring works on all rows at once: ``mixture_logpdf_rows``,
 ``posterior_probs_rows`` and ``posterior_and_logpdf_rows`` build one
 ``discrete_index`` per call and score every component from it with
-``component_logpdf_rows``.  Rectangle probabilities at four or more discrete
-dimensions are randomized quasi-Monte Carlo estimates, so every scoring
-function takes the caller's generator.
+``component_logpdf_rows``.
 
 Three correlation families are supported: ``independent`` (every matrix is
 the identity, so the model collapses to a locally independent mixture),
@@ -246,8 +244,8 @@ def latent_geometry(values: np.ndarray, index, component: ComponentParams):
     return y_c, log_cont, lower, upper, y_c @ coef, 0.5 * (cov + cov.T)
 
 
-def component_logpdf_rows(values: np.ndarray, index, component: ComponentParams,
-                          rng: np.random.Generator) -> np.ndarray:
+def component_logpdf_rows(values: np.ndarray, index, component: ComponentParams
+                          ) -> np.ndarray:
     """Component log density for every row of ``values``, whose
     ``discrete_index`` is ``index``.  A row whose rectangle probability
     underflows carries the log-density floor."""
@@ -256,8 +254,7 @@ def component_logpdf_rows(values: np.ndarray, index, component: ComponentParams,
     if component.n_discrete == 0:
         return out
 
-    prob, _ = gauss.box_probabilities(cond_cov, lo - cond_mean, hi - cond_mean,
-                                      rng)
+    prob, _ = gauss.box_probabilities(cond_cov, lo - cond_mean, hi - cond_mean)
 
     degenerate = ~(prob > 0) | ~np.isfinite(prob)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -266,23 +263,22 @@ def component_logpdf_rows(values: np.ndarray, index, component: ComponentParams,
     return np.where(degenerate, LOG_DENSITY_FLOOR, out)
 
 
-def _component_log_matrix(values: np.ndarray, params: MixtureParams,
-                          rng: np.random.Generator) -> np.ndarray:
+def _component_log_matrix(values: np.ndarray, params: MixtureParams
+                          ) -> np.ndarray:
     index = discrete_index(values, params.n_continuous)
-    return np.column_stack([component_logpdf_rows(values, index, comp, rng)
+    return np.column_stack([component_logpdf_rows(values, index, comp)
                             for comp in params.components])
 
 
-def mixture_logpdf_rows(values: np.ndarray, params: MixtureParams,
-                        rng: np.random.Generator) -> np.ndarray:
+def mixture_logpdf_rows(values: np.ndarray, params: MixtureParams
+                        ) -> np.ndarray:
     """Mixture log density for every row, via log-sum-exp over components."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    logs = _component_log_matrix(values, params, rng)
+    logs = _component_log_matrix(values, params)
     return logsumexp(logs + np.log(params.proportions), axis=1)
 
 
-def posterior_and_logpdf_rows(values: np.ndarray, params: MixtureParams,
-                              rng: np.random.Generator
+def posterior_and_logpdf_rows(values: np.ndarray, params: MixtureParams
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior membership probabilities and mixture log density per row,
     from one evaluation of the component densities.
@@ -292,7 +288,7 @@ def posterior_and_logpdf_rows(values: np.ndarray, params: MixtureParams,
     ``mixture_logpdf_rows``.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    logs = _component_log_matrix(values, params, rng)
+    logs = _component_log_matrix(values, params)
     degenerate = np.all(logs <= LOG_DENSITY_FLOOR, axis=1)
     logs = logs + np.log(params.proportions)
     log_density = logsumexp(logs, axis=1, keepdims=True)
@@ -302,12 +298,12 @@ def posterior_and_logpdf_rows(values: np.ndarray, params: MixtureParams,
     return t, log_density[:, 0]
 
 
-def posterior_probs_rows(values: np.ndarray, params: MixtureParams,
-                         rng: np.random.Generator) -> np.ndarray:
+def posterior_probs_rows(values: np.ndarray, params: MixtureParams
+                         ) -> np.ndarray:
     """Posterior component membership probabilities per row: an (n, g)
     simplex matrix; a row where every component underflowed gets the
     uniform vector."""
-    return posterior_and_logpdf_rows(values, params, rng)[0]
+    return posterior_and_logpdf_rows(values, params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,8 @@ def initial_latent_state(values: np.ndarray, index, params: MixtureParams,
 
 def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(probs.shape[0])
-    return (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
+    # the last cumulative sum can round below a uniform; never count it
+    return (probs.cumsum(axis=1)[:, :-1] < u[:, None]).sum(axis=1)
 
 
 def step_latent(values: np.ndarray, index, params: MixtureParams,
@@ -571,7 +572,7 @@ def run_chain(dataset: MixedDataset, config: ChainConfig,
                 draws.append(_params_doc(params))
 
     estimate = acc.mean(config.family)
-    posterior, log_density = posterior_and_logpdf_rows(values, estimate, rng)
+    posterior, log_density = posterior_and_logpdf_rows(values, estimate)
     labels = np.argmax(posterior, axis=1)
     loglik = float(log_density.sum())
 

@@ -108,7 +108,7 @@ def project(dataset: MixedDataset, params: MixtureParams, k: int,
     basis = pca.axes[:, [a, b]]
     scores = mean @ basis
     score_err = np.sqrt((err * err) @ (basis * basis))
-    t = posterior_probs_rows(dataset.values, params, rng)
+    t = posterior_probs_rows(dataset.values, params)
     return {
         "scores": scores,
         "labels": np.argmax(t, axis=1),

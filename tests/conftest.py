@@ -12,8 +12,8 @@ def random_correlation_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return normalize_to_correlation(a @ a.T / (dim + 2))
 
 
-def component_logpdf(x, component, rng: np.random.Generator) -> float:
+def component_logpdf(x, component) -> float:
     """Log density of one mixed observation under one component."""
     values = np.asarray(x, dtype=float)[None, :]
     index = mx.discrete_index(values, component.n_continuous)
-    return float(mx.component_logpdf_rows(values, index, component, rng)[0])
+    return float(mx.component_logpdf_rows(values, index, component)[0])

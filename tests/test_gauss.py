@@ -166,8 +166,7 @@ class TestBoxProbabilities:
             cov = random_correlation_matrix(d, rng)
             a = rng.normal(size=d) - 1.0
             b = a + rng.exponential(size=d) + 0.5
-            value, err = gauss.box_probabilities(cov, a[None, :], b[None, :],
-                                                 rng)
+            value, err = gauss.box_probabilities(cov, a[None, :], b[None, :])
             ref = self._reference(cov, a, b)
             # scipy's own cdf is Monte Carlo beyond d=2; keep a loose gate
             assert value[0] == pytest.approx(ref, abs=5e-4)
@@ -176,7 +175,7 @@ class TestBoxProbabilities:
     def test_zero_dims(self):
         value, err = gauss.box_probabilities(np.empty((0, 0)),
                                              np.empty((1, 0)),
-                                             np.empty((1, 0)), None)
+                                             np.empty((1, 0)))
         assert value[0] == 1.0
 
     def test_full_box_is_one(self):
@@ -184,7 +183,7 @@ class TestBoxProbabilities:
         for d in (2, 3, 4):
             cov = random_correlation_matrix(d, rng)
             value, _ = gauss.box_probabilities(cov, np.full((3, d), -np.inf),
-                                               np.full((3, d), np.inf), rng)
+                                               np.full((3, d), np.inf))
             np.testing.assert_allclose(value, 1.0, atol=1e-6)
 
     def test_qmc_error_estimate_honest(self):
@@ -194,8 +193,7 @@ class TestBoxProbabilities:
             cov = random_correlation_matrix(4, rng)
             a = rng.normal(size=4) - 1.0
             b = a + rng.exponential(size=4) + 0.3
-            value, err = gauss.box_probabilities(cov, a[None, :], b[None, :],
-                                                 rng)
+            value, err = gauss.box_probabilities(cov, a[None, :], b[None, :])
             ref = self._reference(cov, a, b)
             if abs(value[0] - ref) > max(err[0], 2e-4):
                 misses += 1
@@ -216,15 +214,15 @@ class TestBoxProbabilities:
         calls = []  # (row ids, points, values, errors) per QMC pass
         real = gauss._mvn_qmc_batch
 
-        def counting(chol, lower, upper, rng, n_points, **kw):
-            value, err = real(chol, lower, upper, rng, n_points, **kw)
+        def counting(chol, lower, upper, shifts, n_points):
+            value, err = real(chol, lower, upper, shifts, n_points)
             ids = [int(np.flatnonzero(a[:, 0] == x)[0]) for x in lower[:, 0]]
             calls.append((ids, n_points, value.copy(), err.copy()))
             return value, err
 
         monkeypatch.setattr(gauss, "_mvn_qmc_batch", counting)
         monkeypatch.setattr(gauss, "_QMC_MAX_POINTS", 5000)
-        value, err = gauss.box_probabilities(cov, a, b, rng)
+        value, err = gauss.box_probabilities(cov, a, b)
         assert calls[0][0] == list(range(12))
         assert max(points for _, points, _, _ in calls) == 5000
         assert 0 < len(calls[-1][0]) < 12  # some rows stop early, some hit the cap
@@ -243,21 +241,26 @@ class TestBoxProbabilities:
     def test_qmc_matches_dense_reference(self):
         rng = np.random.default_rng(15)
         cov, a, b = self._qmc_rows(rng, 5)
-        value, err = gauss.box_probabilities(cov, a, b, rng)
+        value, err = gauss.box_probabilities(cov, a, b)
+        # shifts of its own, so the reference shares no lattice points with
+        # the fixed-shift estimate it checks
+        shifts = np.random.default_rng(16).uniform(size=(8, 3))
         ref, ref_err = gauss._mvn_qmc_batch(gauss.chol_spd(cov), a, b,
-                                            np.random.default_rng(16), 2 ** 18)
+                                            shifts, 2 ** 18)
         assert np.all(ref_err < err)
         assert np.all(np.abs(value - ref) <= err + ref_err)
 
     def test_many_rows_share_covariance(self):
         rng = np.random.default_rng(13)
-        cov = random_correlation_matrix(2, rng)
-        a = rng.normal(size=(50, 2)) - 1.0
-        b = a + 1.0
-        values, _ = gauss.box_probabilities(cov, a, b, rng)
-        singles = [gauss.box_probabilities(cov, a[i:i + 1], b[i:i + 1],
-                                           rng)[0][0] for i in range(50)]
-        np.testing.assert_allclose(values, singles, rtol=1e-12)
+        for d in (2, 4, 5):  # closed form, then the lattice rule
+            cov = random_correlation_matrix(d, rng)
+            a = rng.normal(size=(50, d)) - 1.0
+            b = a + 1.0
+            values, _ = gauss.box_probabilities(cov, a, b)
+            singles = [gauss.box_probabilities(cov, a[i:i + 1],
+                                               b[i:i + 1])[0][0]
+                       for i in range(50)]
+            np.testing.assert_allclose(values, singles, rtol=1e-12)
 
 
 # interior, straddling, half-infinite and far-tail intervals
@@ -355,7 +358,7 @@ class TestGhkRows:
                                   lo * rows, hi * rows, rng)
         w = np.exp(log_w)
         exact, _ = gauss.box_probabilities(cov, (lo - mean)[None, :],
-                                           (hi - mean)[None, :], rng)
+                                           (hi - mean)[None, :])
         assert abs(w.mean() - exact[0]) < 4 * w.std(ddof=1) / np.sqrt(n)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -121,7 +121,7 @@ class TestComponentLogpdf:
             x = ds.values[0]
             expected = sum(mg.logpdf_array(x[j], comp.margins[j])
                            for j in range(comp.dim))
-            assert component_logpdf(x, comp_ind, rng) == \
+            assert component_logpdf(x, comp_ind) == \
                 pytest.approx(expected, abs=1e-10)
 
     def test_all_continuous_is_mvn(self):
@@ -134,12 +134,10 @@ class TestComponentLogpdf:
         cov = corr * np.outer(sds, sds)
         x = np.array([0.3, 2.0, -1.5])
         expected = stats.multivariate_normal(mus, cov).logpdf(x)
-        assert component_logpdf(x, comp, rng) == pytest.approx(expected,
-                                                               rel=1e-10)
+        assert component_logpdf(x, comp) == pytest.approx(expected, rel=1e-10)
 
     def test_density_sums_to_one_small_schema(self):
         # 1 continuous (quadrature grid) x 1 binary: total mass within 1e-4
-        rng = np.random.default_rng(2)
         corr = np.array([[1.0, 0.6], [0.6, 1.0]])
         comp = mx.ComponentParams(corr, (mg.GaussianMargin(0.5, 1.2),
                                          mg.OrdinalMargin([0.3, 0.7])))
@@ -148,7 +146,7 @@ class TestComponentLogpdf:
         for level in (1.0, 2.0):
             rows = np.column_stack([xs, np.full_like(xs, level)])
             index = mx.discrete_index(rows, 1)
-            dens = np.exp(mx.component_logpdf_rows(rows, index, comp, rng))
+            dens = np.exp(mx.component_logpdf_rows(rows, index, comp))
             total += np.trapezoid(dens, xs)
         assert total == pytest.approx(1.0, abs=1e-4)
 
@@ -156,45 +154,41 @@ class TestComponentLogpdf:
         # an ordinal level of vanishing probability drives the box to zero
         comp = mx.ComponentParams(np.eye(1),
                                   (mg.OrdinalMargin([1.0 - 1e-300, 1e-300]),))
-        assert component_logpdf([2.0], comp, np.random.default_rng(0)) == \
+        assert component_logpdf([2.0], comp) == \
             mx.LOG_DENSITY_FLOOR
 
 
 class TestMixture:
     def test_g1_equals_component(self):
-        rng = np.random.default_rng(3)
         comp1, _ = example_components()
         params = mx.MixtureParams(np.array([1.0]), (comp1,))
         x = np.array([-2.0, 5.0, 1.0])
-        assert mx.mixture_logpdf_rows(x, params, rng)[0] == pytest.approx(
-            component_logpdf(x, comp1, rng), rel=1e-12)
+        assert mx.mixture_logpdf_rows(x, params)[0] == pytest.approx(
+            component_logpdf(x, comp1), rel=1e-12)
 
     def test_identical_components_collapse(self):
-        rng = np.random.default_rng(4)
         comp1, _ = example_components()
         params = mx.MixtureParams(np.array([0.3, 0.7]), (comp1, comp1))
         x = np.array([-1.0, 4.0, 2.0])
-        assert mx.mixture_logpdf_rows(x, params, rng)[0] == pytest.approx(
-            component_logpdf(x, comp1, rng), rel=1e-10)
+        assert mx.mixture_logpdf_rows(x, params)[0] == pytest.approx(
+            component_logpdf(x, comp1), rel=1e-10)
 
     def test_posterior_sums_to_one(self):
         rng = np.random.default_rng(5)
         params = example_mixture()
         ds, _, _ = mx.generate(50, params, rng)
-        t = mx.posterior_probs_rows(ds.values, params, rng)
+        t = mx.posterior_probs_rows(ds.values, params)
         np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-12)
 
     def test_posterior_identical_components_gives_pi(self):
-        rng = np.random.default_rng(6)
         comp1, _ = example_components()
         params = mx.MixtureParams(np.array([0.3, 0.7]), (comp1, comp1))
-        t = mx.posterior_probs_rows(np.array([-1.0, 4.0, 1.0]), params, rng)
+        t = mx.posterior_probs_rows(np.array([-1.0, 4.0, 1.0]), params)
         np.testing.assert_allclose(t[0], [0.3, 0.7], atol=1e-10)
 
     def test_posterior_strong_assignment(self):
-        rng = np.random.default_rng(7)
         t = mx.posterior_probs_rows(np.array([2.0, 15.0, 1.0]),
-                                    example_mixture(), rng)
+                                    example_mixture())
         assert t[0, 1] > 0.99
 
     def test_scoring_indexes_discrete_columns_once(self, monkeypatch):
@@ -209,7 +203,7 @@ class TestMixture:
         rng = np.random.default_rng(13)
         params = example_mixture()
         ds, _, _ = mx.generate(100, params, rng)
-        mx.mixture_logpdf_rows(ds.values, params, rng)
+        mx.mixture_logpdf_rows(ds.values, params)
         assert calls == [1]
 
     def test_row_underflowing_everywhere_is_uniform_at_floor(self):
@@ -221,9 +215,8 @@ class TestMixture:
                                   (mx.ComponentParams(np.eye(2), margins),
                                    mx.ComponentParams(corr, margins)))
         rows = np.array([[0.5, 2.0], [0.5, 1.0]])
-        rng = np.random.default_rng(0)
-        t = mx.posterior_probs_rows(rows, params, rng)
-        log_density = mx.mixture_logpdf_rows(rows, params, rng)
+        t = mx.posterior_probs_rows(rows, params)
+        log_density = mx.mixture_logpdf_rows(rows, params)
         np.testing.assert_array_equal(t[0], [0.5, 0.5])
         assert log_density[0] == mx.LOG_DENSITY_FLOOR
         assert log_density[1] > mx.LOG_DENSITY_FLOOR

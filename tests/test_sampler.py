@@ -14,6 +14,10 @@ from copulamix import gauss, margins as mg, model as mx, sampler as sp
 from copulamix.schema import MixedDataset, Schema, continuous, ordinal
 
 
+D4_TRUTH = os.path.join(os.path.dirname(__file__), "fixtures",
+                        "d4_truth.json")
+
+
 def example_mixture():
     corr1 = np.array([[1.0, -0.4, 0.4], [-0.4, 1.0, 0.4], [0.4, 0.4, 1.0]])
     corr2 = np.array([[1.0, 0.8, 0.1], [0.8, 1.0, 0.1], [0.1, 0.1, 1.0]])
@@ -214,13 +218,26 @@ class TestStepLatent:
         assert 0 < accepted <= 300
         assert state_invariants_hold(ds.values, params, state)
 
+    def test_label_drawn_below_g_at_the_largest_uniform(self):
+        # these weights' cumulative sum ends at 1 - 2**-52, below the
+        # largest uniform 1 - 2**-53; counting it would give label g
+        class FixedUniforms:
+            def random(self, size):
+                return np.array([0.0, 0.6, 0.7, np.nextafter(1.0, 0.0)])
+
+        probs = np.tile([0.642, 0.381], (4, 1))
+        probs /= probs.sum(axis=1, keepdims=True)
+        assert probs.cumsum(axis=1)[0, -1] < np.nextafter(1.0, 0.0)
+        np.testing.assert_array_equal(
+            sp._categorical_rows(probs, FixedUniforms()), [0, 0, 1, 1])
+
     def test_move_preserves_posterior_frequencies(self):
         # with many repeated moves the label distribution approaches the
         # posterior membership probabilities
         rng = np.random.default_rng(9)
         params = example_mixture()
         ds, _, _ = mx.generate(400, params, rng)
-        t = mx.posterior_probs_rows(ds.values, params, rng)
+        t = mx.posterior_probs_rows(ds.values, params)
         index = mx.discrete_index(ds.values, 1)
         state = sp.initial_latent_state(ds.values, index, params, rng)
         hits = np.zeros(ds.n)
@@ -359,7 +376,7 @@ class TestLatentStepLaw:
                                       _continuous_only_case])
     def test_chain_matches_exact_draws(self, case):
         params, rows = case()
-        t = mx.posterior_probs_rows(rows, params, np.random.default_rng(0))
+        t = mx.posterior_probs_rows(rows, params)
         assert np.all((t > 0.2) & (t < 0.8))
         m, c = rows.shape[0], params.n_continuous
         values = np.repeat(rows, self.replicas, axis=0)
@@ -624,16 +641,21 @@ class TestFit:
         assert res.accept_margins.shape == (2, 3)
 
     def test_estimate_scored_once_matches_row_functions(self):
+        # three discrete columns (closed forms), then four (the lattice rule)
         rng = np.random.default_rng(25)
         ds, _, _ = mx.generate(150, example_mixture(), rng)
+        with open(D4_TRUTH, encoding="utf-8") as fh:
+            d4 = mx.params_from_json(fh.read())
+        d4_ds, _, _ = mx.generate(40, d4, np.random.default_rng(27))
         cfg = sp.ChainConfig(g=2, iterations=8, burn_in=2, n_chains=1)
-        res = sp.run_chain(ds, cfg, np.random.default_rng(26))
-        assert res.loglik == float(mx.mixture_logpdf_rows(
-            ds.values, res.params, np.random.default_rng(0)).sum())
-        posterior = mx.posterior_probs_rows(ds.values, res.params,
-                                            np.random.default_rng(0))
-        np.testing.assert_array_equal(res.posterior, posterior)
-        np.testing.assert_array_equal(res.labels, np.argmax(posterior, axis=1))
+        for data in (ds, d4_ds):
+            res = sp.run_chain(data, cfg, np.random.default_rng(26))
+            assert res.loglik == float(mx.mixture_logpdf_rows(
+                data.values, res.params).sum())
+            posterior = mx.posterior_probs_rows(data.values, res.params)
+            np.testing.assert_array_equal(res.posterior, posterior)
+            np.testing.assert_array_equal(res.labels,
+                                          np.argmax(posterior, axis=1))
 
     def test_chain_persistence_roundtrip(self, tmp_path):
         rng = np.random.default_rng(24)
