@@ -294,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1-based component index")
     p.add_argument("--axes", default="1,2", help="1-based axis pair, e.g. 1,2")
     p.add_argument("--mc-draws", type=int, default=500, help="evaluations "
-                   "per row: lattice points x 8 random shifts (at least 8)")
+                   "per row: lattice points x 8 random shifts (at least 8); "
+                   "used with three or more discrete columns only, fewer "
+                   "take a deterministic rule that ignores it and --seed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_visualize)

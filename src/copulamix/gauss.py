@@ -4,11 +4,13 @@ Cholesky factors with jitter repair, correlation normalization, row-wise
 normal log densities and inverse Wishart draws.  Truncated normals:
 one-dimensional draws per row, log interval masses stable in both tails, the
 GHK sequential draw (or score) of a box-truncated vector that the sampler's
-latent move proposes, and GHK importance-sampling means of such a vector for
-the visualization.  Rectangle (box) probabilities score fitted mixtures: a
-closed form in one dimension, a deterministic Drezner/Genz algorithm in two,
-a Gauss-Legendre conditioning rule in three and a quasi-Monte Carlo lattice
-rule on Genz's separation of variables beyond that.
+latent move proposes, and the means of such a vector for the visualization:
+closed form in one dimension, a deterministic nested tanh-sinh rule in two
+and GHK importance sampling on a randomly shifted lattice beyond that.
+Rectangle (box) probabilities score fitted mixtures: a closed form in one
+dimension, a deterministic Drezner/Genz algorithm in two, a Gauss-Legendre
+conditioning rule in three and a quasi-Monte Carlo lattice rule on Genz's
+separation of variables beyond that.
 
 Everything is a pure function of its inputs, plus a caller-supplied
 ``numpy.random.Generator`` where it draws; batch variants share one
@@ -255,6 +257,10 @@ def ghk_rows(chol: np.ndarray, mean: np.ndarray, lower: np.ndarray,
 
 _GHK_SHIFTS = 8
 _GHK_BLOCK = 8192  # working elements per block of rows; bounds peak memory
+_TS_SPAN = 3.0  # tanh-sinh range |s| <= 3: the end nodes are 2e-14 from 0, 1
+_TS_TOL = 1e-10  # a row refines while its last two levels differ by more
+_TS_LEVELS = 7  # finest step 2^-7, 769 nodes
+_TS_ROUNDING = 1e-13  # error floor, relative to a mean's size (at least 1)
 
 
 def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
@@ -262,13 +268,16 @@ def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
     """Mean of N(0, cov) restricted to each row's (n, d) box, with errors.
 
-    Self-normalised GHK importance sampling on Genz's separation of
-    variables, coordinates in ascending order of interval mass per row: the
-    first d - 1 are drawn in turn at the points of a lattice under 8 random
-    shifts (``n_eval // 8`` points each), the last enters as its closed-form
-    truncated mean, and a point weighs the product of its conditional
-    interval masses.  Errors are standard errors over the shifts; d = 1 is
-    exact.  Row blocks bound memory and do not change the result.
+    Coordinates are taken in ascending order of interval mass per row: the
+    first d - 1 enter at truncated-normal quantiles, the last as its
+    closed-form truncated mean, and a point weighs the product of its
+    conditional interval masses.  d = 1 is exact.  d = 2 is a deterministic
+    nested tanh-sinh rule over the first coordinate's quantile (no draws; see
+    ``_tanh_sinh_means``).  Beyond that, self-normalised GHK importance
+    sampling on Genz's separation of variables draws the quantiles at the
+    points of a lattice under 8 random shifts (``n_eval // 8`` points each),
+    with standard errors over the shifts.  Row blocks bound memory and do
+    not change the result.
     """
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
     upper = np.atleast_2d(np.asarray(upper, dtype=float))
@@ -280,20 +289,25 @@ def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         _, mean = _interval_moments(lower / sd, upper / sd)
         return sd * mean, np.zeros((n, 1))
 
-    q = n_eval // _GHK_SHIFTS
-    # the first axis is equispaced (all of the lattice when d = 2): at d = 2
-    # that cut the largest error against the exact mean about fourfold
-    gen = np.concatenate([[1.0 / q], np.sqrt(_QMC_PRIMES[: d - 2])])
-    shifts = rng.uniform(size=(_GHK_SHIFTS, 1, d - 1))
-    lattice = np.abs(2.0 * np.modf(np.arange(1, q + 1)[:, None] * gen
-                                   + shifts)[0] - 1.0)
-    step = max(1, _GHK_BLOCK // (_GHK_SHIFTS * q))
+    if d > 2:
+        q = n_eval // _GHK_SHIFTS
+        # the first axis is equispaced
+        gen = np.concatenate([[1.0 / q], np.sqrt(_QMC_PRIMES[: d - 2])])
+        shifts = rng.uniform(size=(_GHK_SHIFTS, 1, d - 1))
+        lattice = np.abs(2.0 * np.modf(np.arange(1, q + 1)[:, None] * gen
+                                       + shifts)[0] - 1.0)
+        step = max(1, _GHK_BLOCK // (_GHK_SHIFTS * q))
     order = np.argsort(log_gaussian_interval(lower / sd, upper / sd), axis=1,
                        kind="stable")
     means, errors = np.empty((2, n, d))
     for perm in np.unique(order, axis=0):
         chol = chol_spd(cov[np.ix_(perm, perm)])
         rows = np.flatnonzero(np.all(order == perm, axis=1))
+        if d == 2:
+            idx = np.ix_(rows, perm)
+            means[idx], errors[idx] = _tanh_sinh_means(chol, lower[idx],
+                                                       upper[idx])
+            continue
         for r in range(0, rows.size, step):
             idx = np.ix_(rows[r:r + step], perm)
             e = []                      # standard draws, (row, shift, point)
@@ -319,6 +333,78 @@ def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
             means[idx] = est.mean(axis=-1).T
             errors[idx] = est.std(axis=-1, ddof=1).T / np.sqrt(_GHK_SHIFTS)
     return means, errors
+
+
+def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t on (0, 1) that level ``level`` (step h = 2^-level) adds to the
+    nested tanh-sinh rule t = 1 / (1 + exp(-pi sinh s)), |s| <= _TS_SPAN,
+    and their weights dt/ds = pi cosh(s) t (1 - t) without the factor h.
+    Level 1 holds every node of step 1/2; each later level adds the odd
+    multiples of its step.  t and 1 - t are each computed from an
+    exponential, so neither loses relative precision near 0."""
+    h = 0.5 ** level
+    k = np.arange(-round(_TS_SPAN / h), round(_TS_SPAN / h) + 1)
+    s = h * (k if level == 1 else k[k % 2 == 1])
+    u = np.pi * np.sinh(s)
+    t = 1.0 / (1.0 + np.exp(-u))
+    return t, np.pi * np.cosh(s) * t / (1.0 + np.exp(u))
+
+
+def _tanh_sinh_means(chol: np.ndarray, lower: np.ndarray, upper: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``ghk_means`` for d = 2 on bounds in the rule's coordinate order.
+
+    The mean is the ratio of sum w p y to sum w p over the nodes t of the
+    nested tanh-sinh rule (Takahasi & Mori 1974): y holds the first
+    coordinate at its truncated quantile t and the second at its
+    closed-form truncated mean given the first, and p is the second's
+    conditional interval mass.  The rule converges exponentially despite
+    the quantile's endpoint singularity on a half-line.  Every row takes
+    levels 1 and 2 (25 nodes); a row whose estimates at its last two levels
+    differ by more than ``_TS_TOL`` takes the next, up to ``_TS_LEVELS``.
+    The error is that last difference plus a rounding floor of
+    ``_TS_ROUNDING`` times the mean's size: the difference alone fell below
+    the true error by up to 1e-15 on converged rows, where the interval
+    moments' rounding, not the rule, sets the error.  The step h cancels in
+    the ratio, so a level adds its nodes' sums to the running ones (kept in
+    log scale).
+    """
+    m = lower.shape[0]
+    means, change, num = np.zeros((3, m, 2))  # num: sums of w p (e, mean)
+    den = np.zeros(m)
+    scale = np.full(m, -np.inf)
+    todo = np.arange(m)
+    for level in range(1, _TS_LEVELS + 1):
+        t, w = _tanh_sinh_level(level)
+        # two working elements a node: _interval_moments stacks both ends
+        step = max(1, _GHK_BLOCK // (2 * t.size))
+        for r in range(0, todo.size, step):
+            rows = todo[r:r + step]
+            lo, hi = lower[rows, :, None], upper[rows, :, None]
+            e, _ = _trunc_std_normal_mass(lo[:, 0] / chol[0, 0],
+                                          hi[:, 0] / chol[0, 0], t)
+            mu = chol[1, 0] * e
+            log_p, mean = _interval_moments((lo[:, 1] - mu) / chol[1, 1],
+                                            (hi[:, 1] - mu) / chol[1, 1])
+            f = np.log(w) + log_p
+            top = np.maximum(scale[rows], f.max(axis=1))
+            f = np.exp(f - top[:, None])
+            shrink = np.exp(scale[rows] - top)
+            scale[rows] = top
+            # reductions along the last axis: the same order for any block
+            den[rows] = shrink * den[rows] + f.sum(axis=1)
+            num[rows] = shrink[:, None] * num[rows] + np.column_stack(
+                [(f * e).sum(axis=1), (f * mean).sum(axis=1)])
+            e_bar, mean_bar = (num[rows] / den[rows, None]).T
+            est = np.clip(np.column_stack([chol[0, 0] * e_bar,
+                                           chol[1, 0] * e_bar
+                                           + chol[1, 1] * mean_bar]),
+                          lower[rows], upper[rows])
+            change[rows] = np.abs(est - means[rows])
+            means[rows] = est
+        if level > 1:
+            todo = todo[np.max(change[todo], axis=1) > _TS_TOL]
+    return means, change + _TS_ROUNDING * np.maximum(1.0, np.abs(means))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A component's correlation matrix is spectrally decomposed into orthogonal
 latent axes; individuals are placed on those axes through their expected
 latent coordinates given the observation (closed form for one discrete
-column, GHK importance sampling on a randomly shifted lattice beyond that),
+column, a deterministic quadrature for two, GHK importance sampling on a
+randomly shifted lattice beyond that),
 and variables through their loadings (correlation-circle coordinates).
 Everything is emitted as plain CSV — rendering is a consumer concern.
 """
@@ -72,10 +73,15 @@ def conditional_latent_means(values: np.ndarray, component: ComponentParams,
 
     Continuous coordinates are exact.  Discrete ones are the mean of the
     conditional truncated normal over the latent box, from
-    ``gauss.ghk_means`` with ``n_mc`` integrand evaluations per row (lattice
-    points times 8 random shifts): closed form when the discrete block is
-    one-dimensional, importance sampling otherwise.  Returns (means,
-    standard errors over the shifts), with zero error on exact coordinates.
+    ``gauss.ghk_means``: closed form when the discrete block is
+    one-dimensional, a nested tanh-sinh quadrature when it is
+    two-dimensional, and importance sampling with ``n_mc`` integrand
+    evaluations per row (lattice points times 8 random shifts) beyond that.
+    With at most two discrete columns nothing is drawn, so the result does
+    not depend on ``rng`` or ``n_mc``.  Returns (means, errors): zero on
+    exact coordinates, the difference between the last two quadrature
+    levels at two discrete columns and the standard error over the shifts
+    beyond that.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     c = component.n_continuous
@@ -97,7 +103,8 @@ def project(dataset: MixedDataset, params: MixtureParams, k: int,
 
     ``axes`` are 0-based axis indices (a < b).  Returns a dict with the
     score matrix (n, 2), maximum a posteriori labels under ``params``, the
-    per-row Monte Carlo error propagated onto the two axes, and the PcaMap.
+    per-row error of ``conditional_latent_means`` propagated onto the two
+    axes, and the PcaMap.
     """
     a, b = axes
     if not (0 <= a < b < params.dim):

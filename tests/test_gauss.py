@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from conftest import random_correlation_matrix
 
@@ -395,12 +395,27 @@ class TestGhkRows:
         np.testing.assert_array_equal(log_w, expected)
 
 
+def log_interval_mass(a, b):
+    """log(Phi(b) - Phi(a)) from scipy's log_ndtr: a difference of survival
+    functions when the interval lies wholly above 0, of cdfs otherwise, so
+    it keeps its relative precision in both tails."""
+    up = a > 0
+    big = np.where(up, log_ndtr(-a), log_ndtr(b))
+    small = np.where(up, log_ndtr(-b), log_ndtr(a))
+    with np.errstate(divide="ignore"):
+        return big + np.log1p(-np.exp(small - big))
+
+
 def tallis_bivariate(cov, lower, upper):
     """E[Y | lower < Y < upper] for Y ~ N(0, cov) in two dimensions, by the
     Tallis (1961) first-moment formula: each coordinate's density on the box
     faces times the other coordinate's conditional interval probability,
-    over the box probability from scipy's bivariate normal cdf.  Returns
-    (means, box probabilities)."""
+    over the box probability.  The interval probabilities come from
+    ``log_interval_mass`` and the box probability from adaptive quadrature
+    of the first face term across the first interval, cut to (-12, 12),
+    each to a relative precision near rounding, so the means are exact to
+    about 1e-14 where the box probability exceeds 1e-6.  Returns (means,
+    box probabilities)."""
     sd = np.sqrt(np.diag(cov))
     rho = cov[0, 1] / (sd[0] * sd[1])
     s = np.sqrt(1.0 - rho * rho)
@@ -408,18 +423,84 @@ def tallis_bivariate(cov, lower, upper):
 
     def face(x, lo, hi):
         with np.errstate(invalid="ignore"):
-            v = stats.norm.pdf(x) * (ndtr((hi - rho * x) / s)
-                                     - ndtr((lo - rho * x) / s))
+            v = np.exp(-0.5 * x * x + log_interval_mass(
+                (lo - rho * x) / s, (hi - rho * x) / s)) / np.sqrt(2 * np.pi)
         return np.where(np.isinf(x), 0.0, v)
 
     f0 = face(a[:, 0], a[:, 1], b[:, 1]) - face(b[:, 0], a[:, 1], b[:, 1])
     f1 = face(a[:, 1], a[:, 0], b[:, 0]) - face(b[:, 1], a[:, 0], b[:, 0])
-    prob = np.array([stats.multivariate_normal.cdf(
-        hi, cov=[[1.0, rho], [rho, 1.0]], lower_limit=lo)
-        for lo, hi in zip(a, b)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        prob = np.array([integrate.quad(
+            lambda x, lo1, hi1: float(face(x, lo1, hi1)),
+            *np.clip([lo[0], hi[0]], -12.0, 12.0), args=(lo[1], hi[1]),
+            epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(a, b)])
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.column_stack([f0 + rho * f1, rho * f0 + f1]) / prob[:, None]
     return mean * sd, prob
+
+
+def bivariate_reference_means(cov, lower, upper, panels):
+    """E[Y | lower < Y < upper] for Y ~ N(0, cov) in two dimensions, each
+    coordinate y integrated as the outer variable against its density times
+    the other's conditional interval mass (``log_interval_mass``).  The log
+    integrand is concave in y, so the range where it lies within 80 of its
+    peak is one interval: it is located on an 801-point grid across the box
+    (cut to 20 sd) and integrated there by composite 16-point Gauss-Legendre
+    on ``panels`` panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    v = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 / panels * nodes)
+    wv = np.tile(weights, panels) * 0.5 / panels
+    means = []
+    for i in (0, 1):
+        j = 1 - i
+        sd = np.sqrt(cov[i, i])
+        beta = cov[i, j] / cov[i, i]
+        s = np.sqrt(cov[j, j] - cov[i, j] * beta)
+
+        def log_f(y):
+            with np.errstate(invalid="ignore"):
+                return -0.5 * (y / sd) ** 2 + log_interval_mass(
+                    (lower[:, j, None] - beta * y) / s,
+                    (upper[:, j, None] - beta * y) / s)
+
+        lo = np.clip(lower[:, i], -20 * sd, 20 * sd)[:, None]
+        hi = np.clip(upper[:, i], -20 * sd, 20 * sd)[:, None]
+        grid = lo + np.linspace(0.0, 1.0, 801) * (hi - lo)
+        g = log_f(grid)
+        keep = g > g.max(axis=1, keepdims=True) - 80
+        rows = np.arange(len(grid))
+        a = grid[rows, np.maximum(np.argmax(keep, axis=1) - 1, 0)]
+        b = grid[rows, np.minimum(800 - np.argmax(keep[:, ::-1], axis=1) + 1,
+                                  800)]
+        y = a[:, None] + v.ravel() * (b - a)[:, None]
+        g = log_f(y)
+        f = np.exp(g - g.max(axis=1, keepdims=True)) * wv
+        means.append(np.sum(f * y, axis=1) / np.sum(f, axis=1))
+    return np.column_stack(means)
+
+
+def stress_boxes(kind, rho, n=400):
+    """Boxes for d = 2 truncated means under sds (1.3, 0.6) and correlation
+    rho: ``random`` boxes have N(0, 1.5^2) lower ends and Exp(1) widths with
+    a quarter of the ends infinite; ``far`` boxes start 6 to 11 sd out on
+    either side and are 0.1 to 1 sd wide, a quarter of them open outward."""
+    sds = np.array([1.3, 0.6])
+    cov = np.outer(sds, sds) * np.array([[1.0, rho], [rho, 1.0]])
+    rng = np.random.default_rng([17, round(1000 * rho) % 10007])
+    lo = rng.normal(0.0, 1.5, size=(n, 2))
+    hi = lo + rng.exponential(1.0, size=(n, 2))
+    lo[rng.random((n, 2)) < 0.25] = -np.inf
+    hi[rng.random((n, 2)) < 0.25] = np.inf
+    if kind == "far":
+        inner = rng.uniform(6.0, 11.0, size=(n, 2))
+        outer = inner + rng.uniform(0.1, 1.0, size=(n, 2))
+        outer[rng.random((n, 2)) < 0.25] = np.inf
+        up = rng.random((n, 2)) < 0.5
+        lo, hi = np.where(up, inner, -outer), np.where(up, outer, -inner)
+    return cov, lo * sds, hi * sds
 
 
 def rejection_means(cov, lower, upper, rng, n_draws=200_000):
@@ -469,7 +550,7 @@ class TestGhkMeans:
     @pytest.mark.parametrize("component", [0, 1])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_bivariate_matches_tallis(self, component, reverse):
-        # column order must not matter: each row draws its most
+        # column order must not matter: each row integrates over its most
         # constrained coordinate and takes the other in closed form
         cov, lo, hi = example_boxes(component, reverse)
         expected, prob = tallis_bivariate(cov, lo, hi)
@@ -500,30 +581,64 @@ class TestGhkMeans:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_far_tail_boxes(self, dim):
         # boxes 6 to 12 standard deviations out, where rectangle
-        # probabilities underflow: finite, inside the box, and stable
-        # against a run with four times the budget.  An error from 8 shifts
-        # has heavy tails this far out, hence 5 standard errors, not 4
+        # probabilities underflow: finite, inside the box, and close to an
+        # exact reference (d = 2) or a run with four times the budget.  An
+        # error from 8 shifts has heavy tails this far out, hence 5 standard
+        # errors, not 4
         cov = 0.5 * np.eye(dim) + 0.5
         lo = np.array([[6.0] * dim, [-12.0] * dim, [6.5, -np.inf, 7.0][:dim],
                        [-np.inf, 9.0, -1.0][:dim]])
         hi = np.array([[7.0] * dim, [-11.0] * dim, [np.inf, -8.0, 9.0][:dim],
                        [-6.0, 10.0, 1.0][:dim]])
         mean, err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(3))
-        big, big_err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(4),
-                                       n_eval=2000)
+        if dim == 2:
+            big = bivariate_reference_means(cov, lo, hi, 128)
+            big_err = 0.0
+        else:
+            big, big_err = gauss.ghk_means(cov, lo, hi,
+                                           np.random.default_rng(4),
+                                           n_eval=2000)
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(err))
         assert np.all((mean >= lo) & (mean <= hi))
         tol = 5 * np.sqrt(err ** 2 + big_err ** 2) + 1e-9
         assert np.all(np.abs(mean - big) <= tol)
 
+    @pytest.mark.parametrize("kind", ["random", "far"])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.8, 0.95, 0.99, 0.999])
+    def test_bivariate_stress_boxes(self, kind, rho):
+        # d = 2 is a deterministic quadrature: within 1e-6 of an exact
+        # reference even at rho = 0.999 (the 500-point shifted lattice it
+        # replaced missed by 2.6e-4 to 5.5e-3 on these families), never
+        # more than 1e-8 past its reported error, inside every box, and
+        # drawing nothing from the generator
+        cov, lo, hi = stress_boxes(kind, rho)
+        expected = bivariate_reference_means(cov, lo, hi, 128)
+        np.testing.assert_allclose(
+            bivariate_reference_means(cov, lo, hi, 64), expected,
+            rtol=0, atol=1e-12)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        mean, err = gauss.ghk_means(cov, lo, hi, rng)
+        assert rng.bit_generator.state == state
+        assert np.all((mean >= lo) & (mean <= hi))
+        miss = np.abs(mean - expected)
+        assert np.max(miss) <= 1e-6
+        assert np.all(miss <= err + 1e-8)
+
     def test_blocks_do_not_change_result(self, monkeypatch):
-        cov, lo, hi = example_boxes(0)
-        mean, err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(5))
+        rng = np.random.default_rng(15)
+        cov3 = random_correlation_matrix(3, rng)
+        lo3 = rng.normal(0.0, 1.5, size=(60, 3))
+        hi3 = lo3 + rng.exponential(1.0, size=(60, 3))
+        cases = [example_boxes(0), (cov3, lo3, hi3)]
+        results = [gauss.ghk_means(*case, np.random.default_rng(5))
+                   for case in cases]
         monkeypatch.setattr(gauss, "_GHK_BLOCK", 100)
-        small, small_err = gauss.ghk_means(cov, lo, hi,
-                                           np.random.default_rng(5))
-        np.testing.assert_array_equal(small, mean)
-        np.testing.assert_array_equal(small_err, err)
+        for case, (mean, err) in zip(cases, results):
+            small, small_err = gauss.ghk_means(*case,
+                                               np.random.default_rng(5))
+            np.testing.assert_array_equal(small, mean)
+            np.testing.assert_array_equal(small_err, err)
 
     def test_needs_one_point_per_shift(self):
         with pytest.raises(ValueError):

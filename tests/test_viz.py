@@ -144,11 +144,13 @@ class TestConditionalLatentMeans:
             assert min(err[i]) < 1e-12
 
     def test_mc_error_reported(self):
-        # the reported error is the spread of the estimate over seeds
-        corr = np.array([[1.0, 0.3], [0.3, 1.0]])
+        # the reported error is the spread of the estimate over seeds; with
+        # three discrete columns the means come from the shifted lattice
+        corr = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, -0.4], [0.2, -0.4, 1.0]])
         comp = mx.ComponentParams(corr, (mg.PoissonMargin(2.0),
-                                         mg.PoissonMargin(6.0)))
-        x = np.array([[1.0, 4.0]])
+                                         mg.PoissonMargin(6.0),
+                                         mg.OrdinalMargin([0.3, 0.7])))
+        x = np.array([[1.0, 4.0, 2.0]])
         runs = [viz.conditional_latent_means(x, comp,
                                              np.random.default_rng(seed),
                                              n_mc=200)
@@ -207,6 +209,17 @@ class TestProject:
             keep = ~keep
         centred = proj["scores"][keep].mean(axis=0)
         assert np.all(np.abs(centred) < 0.3)
+
+    def test_two_discrete_scores_do_not_depend_on_generator(self, data):
+        # two discrete columns take a deterministic quadrature: nothing is
+        # drawn, so any generator and any n_mc give the same bytes
+        ds, _, params = data
+        first = viz.project(ds, params, 0, rng=np.random.default_rng(21))
+        second = viz.project(ds, params, 0, rng=np.random.default_rng(22),
+                             n_mc=40)
+        np.testing.assert_array_equal(first["scores"], second["scores"])
+        np.testing.assert_array_equal(first["mc_error"], second["mc_error"])
+        assert np.all(first["mc_error"] < 1e-8)
 
     def test_large_count_scores_finite(self, data):
         # a count of 34 or more has a cdf that rounds to 1 under the rate 5
