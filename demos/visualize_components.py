@@ -21,7 +21,7 @@ result = sp.fit(dataset, sp.ChainConfig(g=2, iterations=200, burn_in=40,
                                         n_chains=1, seed=0))
 
 for k in range(result.params.g):
-    proj = viz.project(dataset, result.params, k, rng=rng, n_mc=300)
+    proj = viz.project(dataset, result.params, k)
     pca = proj["pca"]
     pct = 100.0 * pca.variance_explained[:2].sum()
     print(f"component {k + 1}: first two axes explain {pct:.1f}% of the "

@@ -21,7 +21,7 @@ from .gauss import NumericalError
 from .model import (
     FAMILIES, HETEROSCEDASTIC, generate, params_from_json, params_to_json,
 )
-from .schema import DataError, SchemaError, load_dataset, save_dataset
+from .schema import load_dataset, save_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,13 +67,10 @@ def _ensure_outdir(path: str) -> str:
 
 def _chain_config(args, g: int, family: str, keep_draws: bool = False,
                   thin: int = 1) -> sp.ChainConfig:
-    try:
-        return sp.ChainConfig(
-            g=g, family=family, iterations=args.iters, burn_in=args.burnin,
-            seed=args.seed, n_chains=args.chains, keep_draws=keep_draws,
-            thin=thin)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return sp.ChainConfig(
+        g=g, family=family, iterations=args.iters, burn_in=args.burnin,
+        seed=args.seed, n_chains=args.chains, keep_draws=keep_draws,
+        thin=thin)
 
 
 def _partition_csv(result: sp.FitResult) -> str:
@@ -184,8 +181,6 @@ def cmd_visualize(args) -> int:
     dataset = load_dataset(args.data, args.schema)
     with open(args.fit, encoding="utf-8") as fh:
         params = params_from_json(fh.read())
-    if params.dim != dataset.schema.n_variables:
-        raise UsageError("fitted parameters do not match the data schema")
     k = args.component - 1
     if not 0 <= k < params.g:
         raise UsageError(f"component must be in 1..{params.g}")
@@ -198,12 +193,8 @@ def cmd_visualize(args) -> int:
         raise UsageError("axes must differ")
     if not (0 <= a < b < params.dim):
         raise UsageError(f"axes must satisfy 1 <= a < b <= {params.dim}")
-    if args.mc_draws < 8:
-        raise UsageError("--mc-draws must be at least 8 (one per shift)")
+    projection = viz.project(dataset, params, k, axes=(a, b))
     out = _ensure_outdir(args.out)
-    rng = np.random.default_rng(args.seed)
-    projection = viz.project(dataset, params, k, axes=(a, b), rng=rng,
-                             n_mc=args.mc_draws)
     _write_atomic(os.path.join(out, "pca_scores.csv"),
                   viz.scores_csv(projection))
     _write_atomic(os.path.join(out, "pca_circle.csv"),
@@ -224,9 +215,7 @@ def cmd_eval(args) -> int:
     if not sizes or min(sizes) < 1 or args.replicates < 1:
         raise UsageError("need positive sizes and replicates")
     out = _ensure_outdir(args.out)
-    config = sp.ChainConfig(
-        g=2, family=args.family, iterations=args.iters, burn_in=args.burnin,
-        n_chains=args.chains)
+    config = _chain_config(args, 2, args.family)
     _note(f"study {args.study}: sizes {sizes}, {args.replicates} replicates")
     rows = ev.run_simulation_study(args.study, sizes, args.replicates,
                                    config=config, master_seed=args.seed)
@@ -293,11 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", type=int, required=True,
                    help="1-based component index")
     p.add_argument("--axes", default="1,2", help="1-based axis pair, e.g. 1,2")
-    p.add_argument("--mc-draws", type=int, default=500, help="evaluations "
-                   "per row: lattice points x 8 random shifts (at least 8); "
-                   "used with three or more discrete columns only, fewer "
-                   "take a deterministic rule that ignores it and --seed")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted for "
+                   "compatibility and ignored: the export draws no random "
+                   "numbers")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_visualize)
 
@@ -321,8 +308,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, SchemaError, DataError, FileNotFoundError,
-            ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (sp.DegenerateFitError, NumericalError, ArithmeticError) as exc:

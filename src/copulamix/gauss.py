@@ -6,7 +6,8 @@ one-dimensional draws per row, log interval masses stable in both tails, the
 GHK sequential draw (or score) of a box-truncated vector that the sampler's
 latent move proposes, and the means of such a vector for the visualization:
 closed form in one dimension, a deterministic nested tanh-sinh rule in two
-and GHK importance sampling on a randomly shifted lattice beyond that.
+and GHK importance sampling on the scoring lattice under its fixed shifts
+beyond that.
 Rectangle (box) probabilities score fitted mixtures: a closed form in one
 dimension, a deterministic Drezner/Genz algorithm in two, a Gauss-Legendre
 conditioning rule in three and a quasi-Monte Carlo lattice rule on Genz's
@@ -255,7 +256,7 @@ def ghk_rows(chol: np.ndarray, mean: np.ndarray, lower: np.ndarray,
     return y, log_w
 
 
-_GHK_SHIFTS = 8
+_GHK_POINTS = 62  # lattice points per shift at d >= 3, 8 x 62 a row
 _GHK_BLOCK = 8192  # working elements per block of rows; bounds peak memory
 _TS_SPAN = 3.0  # tanh-sinh range |s| <= 3: the end nodes are 2e-14 from 0, 1
 _TS_TOL = 1e-10  # a row refines while its last two levels differ by more
@@ -263,8 +264,7 @@ _TS_LEVELS = 7  # finest step 2^-7, 769 nodes
 _TS_ROUNDING = 1e-13  # error floor, relative to a mean's size (at least 1)
 
 
-def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-              rng: np.random.Generator, n_eval: int = 500
+def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """Mean of N(0, cov) restricted to each row's (n, d) box, with errors.
 
@@ -272,31 +272,26 @@ def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     first d - 1 enter at truncated-normal quantiles, the last as its
     closed-form truncated mean, and a point weighs the product of its
     conditional interval masses.  d = 1 is exact.  d = 2 is a deterministic
-    nested tanh-sinh rule over the first coordinate's quantile (no draws; see
+    nested tanh-sinh rule over the first coordinate's quantile (see
     ``_tanh_sinh_means``).  Beyond that, self-normalised GHK importance
-    sampling on Genz's separation of variables draws the quantiles at the
-    points of a lattice under 8 random shifts (``n_eval // 8`` points each),
-    with standard errors over the shifts.  Row blocks bound memory and do
-    not change the result.
+    sampling on Genz's separation of variables takes the quantiles at the
+    points of the scoring lattice (``_lattice``) under the fixed shifts of
+    ``_QMC_SHIFT_TABLE``, ``_GHK_POINTS`` points each, with standard errors
+    over the shifts.  Nothing is drawn at any d, so equal inputs give equal
+    outputs.  Row blocks bound memory and do not change the result.
     """
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
     upper = np.atleast_2d(np.asarray(upper, dtype=float))
     n, d = lower.shape
-    if n_eval < _GHK_SHIFTS:
-        raise ValueError(f"need at least {_GHK_SHIFTS} evaluations per row")
     sd = np.sqrt(np.diag(cov))
     if d == 1:
         _, mean = _interval_moments(lower / sd, upper / sd)
         return sd * mean, np.zeros((n, 1))
 
     if d > 2:
-        q = n_eval // _GHK_SHIFTS
-        # the first axis is equispaced
-        gen = np.concatenate([[1.0 / q], np.sqrt(_QMC_PRIMES[: d - 2])])
-        shifts = rng.uniform(size=(_GHK_SHIFTS, 1, d - 1))
-        lattice = np.abs(2.0 * np.modf(np.arange(1, q + 1)[:, None] * gen
-                                       + shifts)[0] - 1.0)
-        step = max(1, _GHK_BLOCK // (_GHK_SHIFTS * q))
+        lattice = _lattice(_GHK_POINTS, _QMC_SHIFT_TABLE[:, : d - 1])
+        n_shifts = lattice.shape[0]
+        step = max(1, _GHK_BLOCK // (n_shifts * _GHK_POINTS))
     order = np.argsort(log_gaussian_interval(lower / sd, upper / sd), axis=1,
                        kind="stable")
     means, errors = np.empty((2, n, d))
@@ -311,7 +306,7 @@ def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         for r in range(0, rows.size, step):
             idx = np.ix_(rows[r:r + step], perm)
             e = []                      # standard draws, (row, shift, point)
-            y = np.empty((d, idx[0].size, _GHK_SHIFTS, q))
+            y = np.empty((d, idx[0].size, n_shifts, _GHK_POINTS))
             log_w = 0.0                 # the first interval's mass is constant
             for i in range(d):
                 mu = sum(chol[i, j] * e[j] for j in range(i))
@@ -331,7 +326,7 @@ def ghk_means(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray,
             # reductions along the last axis: the same order for any block
             est = np.sum(w * y, axis=-1) / np.sum(w, axis=-1)  # d, row, shift
             means[idx] = est.mean(axis=-1).T
-            errors[idx] = est.std(axis=-1, ddof=1).T / np.sqrt(_GHK_SHIFTS)
+            errors[idx] = est.std(axis=-1, ddof=1).T / np.sqrt(n_shifts)
     return means, errors
 
 
@@ -550,6 +545,16 @@ _QMC_REL_TOL = 1e-4  # a row's error target, relative to its value
 _QMC_MAX_POINTS = 20000  # points per shift, at most
 
 
+def _lattice(n_points: int, shifts: np.ndarray) -> np.ndarray:
+    """Rank-1 lattice with generators sqrt(p) over the first primes, one per
+    column of ``shifts`` (..., dims): the points |2 frac(k gen + shift) - 1|,
+    k = 1..n_points, folded into [0, 1] (the baker's transform), shaped
+    (..., n_points, dims).  Built in the call, not at import."""
+    gen = np.sqrt(_QMC_PRIMES[: shifts.shape[-1]])
+    return np.abs(2.0 * np.modf(np.arange(1, n_points + 1)[:, None] * gen
+                                + shifts[..., None, :])[0] - 1.0)
+
+
 def _mvn_qmc_batch(chol: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                    shifts: np.ndarray, n_points: int
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -560,13 +565,9 @@ def _mvn_qmc_batch(chol: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     diag = np.diag(chol)
     eps = 1e-15
 
-    gen = np.sqrt(_QMC_PRIMES[: d - 1])
-    kvec = np.arange(1, n_points + 1)[:, None]
-    base = kvec * gen[None, :]  # (q, d-1)
-
     estimates = np.zeros((len(shifts), n))
     for s, shift in enumerate(shifts):
-        w = np.abs(2.0 * np.modf(base + shift)[0] - 1.0)  # antithetic fold
+        w = _lattice(n_points, shift)
         # sequential conditioning, vectorized over (points, rows)
         dlo = ndtr(np.broadcast_to(lower[:, 0] / diag[0], (n_points, n)))
         dhi = ndtr(np.broadcast_to(upper[:, 0] / diag[0], (n_points, n)))

@@ -3,9 +3,9 @@
 A component's correlation matrix is spectrally decomposed into orthogonal
 latent axes; individuals are placed on those axes through their expected
 latent coordinates given the observation (closed form for one discrete
-column, a deterministic quadrature for two, GHK importance sampling on a
-randomly shifted lattice beyond that),
-and variables through their loadings (correlation-circle coordinates).
+column, a deterministic quadrature for two, GHK importance sampling on the
+scoring lattice under its fixed shifts beyond that; nothing is drawn), and
+variables through their loadings (correlation-circle coordinates).
 Everything is emitted as plain CSV — rendering is a consumer concern.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gauss
 from .model import (ComponentParams, MixtureParams, discrete_index,
-                    latent_geometry, posterior_probs_rows)
+                    latent_geometry, posterior_probs_rows, schema_of)
 from .schema import MixedDataset
 
 __all__ = [
@@ -65,9 +65,7 @@ def component_pca(correlation: np.ndarray, component: int = 0) -> PcaMap:
     return PcaMap(component, vals, vecs, vals / vals.sum())
 
 
-def conditional_latent_means(values: np.ndarray, component: ComponentParams,
-                             rng: np.random.Generator,
-                             n_mc: int = 500
+def conditional_latent_means(values: np.ndarray, component: ComponentParams
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Expected latent coordinates given each row and the component.
 
@@ -75,13 +73,12 @@ def conditional_latent_means(values: np.ndarray, component: ComponentParams,
     conditional truncated normal over the latent box, from
     ``gauss.ghk_means``: closed form when the discrete block is
     one-dimensional, a nested tanh-sinh quadrature when it is
-    two-dimensional, and importance sampling with ``n_mc`` integrand
-    evaluations per row (lattice points times 8 random shifts) beyond that.
-    With at most two discrete columns nothing is drawn, so the result does
-    not depend on ``rng`` or ``n_mc``.  Returns (means, errors): zero on
-    exact coordinates, the difference between the last two quadrature
-    levels at two discrete columns and the standard error over the shifts
-    beyond that.
+    two-dimensional, and importance sampling on the scoring lattice under
+    its 8 fixed shifts (496 integrand evaluations per row) beyond that.
+    Nothing is drawn, so equal inputs give equal outputs.  Returns (means,
+    errors): zero on exact coordinates, the difference between the last two
+    quadrature levels at two discrete columns and the standard error over
+    the shifts beyond that.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     c = component.n_continuous
@@ -91,27 +88,30 @@ def conditional_latent_means(values: np.ndarray, component: ComponentParams,
     out[:, :c] = y_c
     if component.n_discrete:
         mean, err[:, c:] = gauss.ghk_means(cond_cov, lo - cond_mean,
-                                           hi - cond_mean, rng, n_mc)
+                                           hi - cond_mean)
         out[:, c:] = cond_mean + mean
     return out, err
 
 
 def project(dataset: MixedDataset, params: MixtureParams, k: int,
-            rng: np.random.Generator, axes: tuple[int, int] = (0, 1),
-            n_mc: int = 500) -> dict:
+            axes: tuple[int, int] = (0, 1)) -> dict:
     """Project every row onto two PCA axes of component ``k``.
 
-    ``axes`` are 0-based axis indices (a < b).  Returns a dict with the
-    score matrix (n, 2), maximum a posteriori labels under ``params``, the
-    per-row error of ``conditional_latent_means`` propagated onto the two
-    axes, and the PcaMap.
+    ``params`` must have the margin kinds of the data's schema, ordinal
+    levels included (``ValueError`` otherwise).  ``axes`` are 0-based axis
+    indices (a < b).  Returns a dict with the score matrix (n, 2), maximum a
+    posteriori labels under ``params``, the per-row error of
+    ``conditional_latent_means`` propagated onto the two axes, and the
+    PcaMap.
     """
+    if schema_of(params).kinds != dataset.schema.kinds:
+        raise ValueError("fitted parameters do not match the data schema")
     a, b = axes
     if not (0 <= a < b < params.dim):
         raise ValueError("need 0 <= first axis < second axis < dimension")
     comp = params.components[k]
     pca = component_pca(comp.correlation, k)
-    mean, err = conditional_latent_means(dataset.values, comp, rng, n_mc=n_mc)
+    mean, err = conditional_latent_means(dataset.values, comp)
     basis = pca.axes[:, [a, b]]
     scores = mean @ basis
     score_err = np.sqrt((err * err) @ (basis * basis))

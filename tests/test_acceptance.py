@@ -409,7 +409,7 @@ class TestVisualizationGuarantees:
         # projections on a fitted-truth mixture stay finite and labelled
         params = ev.example1_params()
         ds, z, _ = mx.generate(200, params, rng)
-        proj = viz.project(ds, params, 0, rng=rng, n_mc=200)
+        proj = viz.project(ds, params, 0)
         assert np.all(np.isfinite(proj["scores"]))
         agree = max(np.mean(proj["labels"] == z),
                     np.mean(proj["labels"] != z))
@@ -422,7 +422,7 @@ class TestVisualizationGuarantees:
                                          mg.GaussianMargin(-1.0, 0.5)))
         single = mx.MixtureParams(np.array([1.0]), (comp,))
         ds1, _, _ = mx.generate(4000, single, rng)
-        proj1 = viz.project(ds1, single, 0, rng=rng)
+        proj1 = viz.project(ds1, single, 0)
         pca1 = proj1["pca"]
         var = proj1["scores"].var(axis=0)
         np.testing.assert_allclose(var, pca1.eigenvalues[:2], rtol=0.1)

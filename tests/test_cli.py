@@ -209,8 +209,7 @@ class TestVisualize:
         code = run(["visualize", str(sim_dir / "data.csv"),
                     str(sim_dir / "schema.txt"),
                     "--fit", str(fit_dir / "theta.json"),
-                    "--component", "1", "--mc-draws", "50",
-                    "--out", str(out)])
+                    "--component", "1", "--out", str(out)])
         assert code == cli.EXIT_OK
         scores = (out / "pca_scores.csv").read_text().strip().split("\n")
         assert len(scores) == 121
@@ -231,9 +230,21 @@ class TestVisualize:
                            "--axes", "1,9"]) == cli.EXIT_USAGE
         assert run(base + ["--component", "1",
                            "--axes", "potato"]) == cli.EXIT_USAGE
-        # fewer evaluations than lattice shifts
-        assert run(base + ["--component", "1",
-                           "--mc-draws", "7"]) == cli.EXIT_USAGE
+
+    def test_margins_must_match_schema(self, sim_dir, fit_dir, tmp_path):
+        # a Poisson margin on the binary column: same dimension, another
+        # model
+        theta = json.loads((fit_dir / "theta.json").read_text())
+        for comp in theta["components"]:
+            assert comp["margins"][-1]["family"] == "multinomial"
+            comp["margins"][-1] = {"family": "poisson", "rate": 1.5}
+        wrong = tmp_path / "theta.json"
+        wrong.write_text(json.dumps(theta))
+        assert run(["visualize", str(sim_dir / "data.csv"),
+                    str(sim_dir / "schema.txt"), "--fit", str(wrong),
+                    "--component", "1",
+                    "--out", str(tmp_path / "v")]) == cli.EXIT_USAGE
+        assert not (tmp_path / "v").exists()
 
 
 class TestEval:

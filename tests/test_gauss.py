@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import log_ndtr, ndtr
 
-from conftest import random_correlation_matrix
+from conftest import random_correlation_matrix, rejection_means
 
 from copulamix import gauss, margins as mg, model as mx
 
@@ -249,6 +249,30 @@ class TestBoxProbabilities:
                                             shifts, 2 ** 18)
         assert np.all(ref_err < err)
         assert np.all(np.abs(value - ref) <= err + ref_err)
+
+    @pytest.mark.parametrize("d, value, err", [
+        (4, [0.0001013154082386288, 0.010955059266418743,
+             0.001593834369950012, 0.003006330403199922],
+         [1.1273893434557252e-08, 1.0479463827610983e-06,
+          4.2010630912772464e-08, 1.75905117607143e-07]),
+        (5, [8.402809358494962e-06, 2.666824470821907e-07,
+             0.0001618805982315503, 5.007031599216718e-10],
+         [1.759121177297192e-09, 5.814714831764875e-11,
+          7.447651354767785e-08, 3.1169318205760545e-11]),
+    ])
+    def test_qmc_values_are_pinned(self, d, value, err):
+        # the lattice rule's values and errors bit for bit, on rows that
+        # refine from 512 points per shift up to the cap: the scores of a
+        # fit must not move when the lattice code does
+        rng = np.random.default_rng([19, d])
+        cov = random_correlation_matrix(d, rng)
+        a = rng.normal(size=(4, d)) * 1.5 - 1.0
+        b = a + rng.exponential(size=(4, d)) + 0.3
+        a[0, 1] = -np.inf
+        b[1, 2] = np.inf
+        got, got_err = gauss.box_probabilities(cov, a, b)
+        np.testing.assert_array_equal(got, value)
+        np.testing.assert_array_equal(got_err, err)
 
     def test_many_rows_share_covariance(self):
         rng = np.random.default_rng(13)
@@ -503,18 +527,6 @@ def stress_boxes(kind, rho, n=400):
     return cov, lo * sds, hi * sds
 
 
-def rejection_means(cov, lower, upper, rng, n_draws=200_000):
-    """Truncated means by rejection from N(0, cov), with standard errors."""
-    chol = np.linalg.cholesky(cov)
-    means, errors = [], []
-    for lo, hi in zip(lower, upper):
-        y = rng.standard_normal((n_draws, len(lo))) @ chol.T
-        y = y[np.all((y > lo) & (y < hi), axis=1)]
-        means.append(y.mean(axis=0))
-        errors.append(y.std(axis=0) / np.sqrt(len(y)))
-    return np.array(means), np.array(errors)
-
-
 def example_boxes(component_index, reverse=False):
     """Discrete-block boxes, centred on their conditional means, of rows
     from a Gaussian/Poisson/binary mixture scored under one component (the
@@ -541,8 +553,7 @@ class TestGhkMeans:
         lo = np.array([[a] for a, _ in KERNEL_INTERVALS])
         hi = np.array([[b] for _, b in KERNEL_INTERVALS])
         sd = 1.5
-        mean, err = gauss.ghk_means(np.array([[sd * sd]]), sd * lo, sd * hi,
-                                    np.random.default_rng(0))
+        mean, err = gauss.ghk_means(np.array([[sd * sd]]), sd * lo, sd * hi)
         expected = sd * stats.truncnorm(lo[:, 0], hi[:, 0]).mean()
         np.testing.assert_allclose(mean[:, 0], expected, rtol=0, atol=1e-10)
         np.testing.assert_array_equal(err, 0.0)
@@ -554,8 +565,7 @@ class TestGhkMeans:
         # constrained coordinate and takes the other in closed form
         cov, lo, hi = example_boxes(component, reverse)
         expected, prob = tallis_bivariate(cov, lo, hi)
-        mean, err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(1),
-                                    n_eval=500)
+        mean, err = gauss.ghk_means(cov, lo, hi)
         rows = prob > 1e-6
         assert rows.sum() > 200
         assert np.max(np.abs(mean - expected)[rows]) <= 5e-3
@@ -572,32 +582,41 @@ class TestGhkMeans:
         hi[rng.random((12, dim)) < 0.3] = np.inf
         expected, ref_err = rejection_means(cov, lo, hi,
                                             np.random.default_rng(99))
-        mean, err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(2),
-                                    n_eval=2000)
+        mean, err = gauss.ghk_means(cov, lo, hi)
         assert np.all((mean > lo) & (mean < hi))
         tol = 4.5 * np.sqrt(err ** 2 + ref_err ** 2)
         assert np.all(np.abs(mean - expected) <= tol)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_far_tail_boxes(self, dim):
+    def test_far_tail_boxes(self, dim, monkeypatch):
         # boxes 6 to 12 standard deviations out, where rectangle
         # probabilities underflow: finite, inside the box, and close to an
-        # exact reference (d = 2) or a run with four times the budget.  An
-        # error from 8 shifts has heavy tails this far out, hence 5 standard
-        # errors, not 4
+        # exact reference (d = 2) or a run with four times the points under
+        # shifts of its own, so that it shares no lattice point with the
+        # estimate.  An error from 8 shifts has heavy tails this far out,
+        # hence 5 standard errors, not 4
         cov = 0.5 * np.eye(dim) + 0.5
         lo = np.array([[6.0] * dim, [-12.0] * dim, [6.5, -np.inf, 7.0][:dim],
                        [-np.inf, 9.0, -1.0][:dim]])
         hi = np.array([[7.0] * dim, [-11.0] * dim, [np.inf, -8.0, 9.0][:dim],
                        [-6.0, 10.0, 1.0][:dim]])
-        mean, err = gauss.ghk_means(cov, lo, hi, np.random.default_rng(3))
+        mean, err = gauss.ghk_means(cov, lo, hi)
         if dim == 2:
             big = bivariate_reference_means(cov, lo, hi, 128)
             big_err = 0.0
         else:
-            big, big_err = gauss.ghk_means(cov, lo, hi,
-                                           np.random.default_rng(4),
-                                           n_eval=2000)
+            points = gauss._GHK_POINTS
+            shifts = gauss._QMC_SHIFT_TABLE[:, : dim - 1]
+            other = np.outer(np.arange(1, 9),
+                             np.sqrt(gauss._QMC_PRIMES + 1.0 / 3.0))
+            own = gauss._lattice(points, shifts).reshape(-1, dim - 1)
+            ref = gauss._lattice(4 * points,
+                                 other[:, : dim - 1]).reshape(-1, dim - 1)
+            gap = np.abs(own[:, None] - ref[None]).max(axis=-1)
+            assert gap.min() > 1e-6
+            monkeypatch.setattr(gauss, "_QMC_SHIFT_TABLE", other)
+            monkeypatch.setattr(gauss, "_GHK_POINTS", 4 * points)
+            big, big_err = gauss.ghk_means(cov, lo, hi)
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(err))
         assert np.all((mean >= lo) & (mean <= hi))
         tol = 5 * np.sqrt(err ** 2 + big_err ** 2) + 1e-9
@@ -609,17 +628,13 @@ class TestGhkMeans:
         # d = 2 is a deterministic quadrature: within 1e-6 of an exact
         # reference even at rho = 0.999 (the 500-point shifted lattice it
         # replaced missed by 2.6e-4 to 5.5e-3 on these families), never
-        # more than 1e-8 past its reported error, inside every box, and
-        # drawing nothing from the generator
+        # more than 1e-8 past its reported error and inside every box
         cov, lo, hi = stress_boxes(kind, rho)
         expected = bivariate_reference_means(cov, lo, hi, 128)
         np.testing.assert_allclose(
             bivariate_reference_means(cov, lo, hi, 64), expected,
             rtol=0, atol=1e-12)
-        rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        mean, err = gauss.ghk_means(cov, lo, hi, rng)
-        assert rng.bit_generator.state == state
+        mean, err = gauss.ghk_means(cov, lo, hi)
         assert np.all((mean >= lo) & (mean <= hi))
         miss = np.abs(mean - expected)
         assert np.max(miss) <= 1e-6
@@ -631,16 +646,9 @@ class TestGhkMeans:
         lo3 = rng.normal(0.0, 1.5, size=(60, 3))
         hi3 = lo3 + rng.exponential(1.0, size=(60, 3))
         cases = [example_boxes(0), (cov3, lo3, hi3)]
-        results = [gauss.ghk_means(*case, np.random.default_rng(5))
-                   for case in cases]
+        results = [gauss.ghk_means(*case) for case in cases]
         monkeypatch.setattr(gauss, "_GHK_BLOCK", 100)
         for case, (mean, err) in zip(cases, results):
-            small, small_err = gauss.ghk_means(*case,
-                                               np.random.default_rng(5))
+            small, small_err = gauss.ghk_means(*case)
             np.testing.assert_array_equal(small, mean)
             np.testing.assert_array_equal(small_err, err)
-
-    def test_needs_one_point_per_shift(self):
-        with pytest.raises(ValueError):
-            gauss.ghk_means(np.eye(2), -np.ones((1, 2)), np.ones((1, 2)),
-                            np.random.default_rng(6), n_eval=7)

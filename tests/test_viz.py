@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_correlation_matrix
+from conftest import random_correlation_matrix, rejection_means
 
 from copulamix import margins as mg, model as mx, viz
 
@@ -95,32 +95,29 @@ class TestCorrelationCircle:
 
 class TestConditionalLatentMeans:
     def test_continuous_exact(self):
-        rng = np.random.default_rng(5)
         comp = mx.ComponentParams(
             np.eye(2), (mg.GaussianMargin(1.0, 2.0),
                         mg.GaussianMargin(-1.0, 0.5)))
         x = np.array([[3.0, -1.5]])
-        mean, err = viz.conditional_latent_means(x, comp, rng)
+        mean, err = viz.conditional_latent_means(x, comp)
         np.testing.assert_allclose(mean[0], [1.0, -1.0])
         np.testing.assert_array_equal(err, 0.0)
 
     def test_binary_closed_form(self):
         # standard normal truncated to (-inf, 0]: mean = -sqrt(2/pi) phi(0)
         # scaling: E[Y | Y <= 0] = -2 phi(0) = -0.7978845608
-        rng = np.random.default_rng(6)
         comp = mx.ComponentParams(
             np.eye(1).reshape(1, 1), (mg.OrdinalMargin([0.5, 0.5]),))
-        mean, err = viz.conditional_latent_means(np.array([[1.0]]), comp, rng)
+        mean, err = viz.conditional_latent_means(np.array([[1.0]]), comp)
         assert mean[0, 0] == pytest.approx(-np.sqrt(2.0 / np.pi), abs=1e-10)
         assert err[0, 0] == 0.0
 
     def test_closed_form_matches_scipy_truncnorm(self):
-        rng = np.random.default_rng(7)
         corr = np.array([[1.0, 0.6], [0.6, 1.0]])
         comp = mx.ComponentParams(corr, (mg.GaussianMargin(0.0, 1.0),
                                          mg.PoissonMargin(4.0)))
         x = np.array([[1.2, 3.0]])
-        mean, _ = viz.conditional_latent_means(x, comp, rng)
+        mean, _ = viz.conditional_latent_means(x, comp)
         (lo,), (hi,) = mg.latent_bounds_arrays([3.0], mg.PoissonMargin(4.0))
         mu, sd = 0.6 * 1.2, np.sqrt(1 - 0.36)
         ref = stats.truncnorm((lo - mu) / sd, (hi - mu) / sd, mu, sd).mean()
@@ -130,11 +127,10 @@ class TestConditionalLatentMeans:
         # two discrete coordinates with identity correlation: the
         # importance weights are flat, so the coordinate taken in closed
         # form is exact and the drawn one matches within its error
-        rng = np.random.default_rng(8)
         comp = mx.ComponentParams(
             np.eye(2), (mg.PoissonMargin(3.0), mg.OrdinalMargin([0.3, 0.7])))
         x = np.array([[2.0, 1.0], [5.0, 2.0]])
-        mean, err = viz.conditional_latent_means(x, comp, rng, n_mc=4000)
+        mean, err = viz.conditional_latent_means(x, comp)
         for i in range(2):
             for j, margin in enumerate(comp.margins):
                 (lo,), (hi,) = mg.latent_bounds_arrays(x[i, j:j + 1], margin)
@@ -144,22 +140,22 @@ class TestConditionalLatentMeans:
             assert min(err[i]) < 1e-12
 
     def test_mc_error_reported(self):
-        # the reported error is the spread of the estimate over seeds; with
-        # three discrete columns the means come from the shifted lattice
+        # with three discrete columns the means come from the shifted
+        # lattice: the error over the shifts covers the miss against a
+        # rejection-sampling reference
         corr = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, -0.4], [0.2, -0.4, 1.0]])
         comp = mx.ComponentParams(corr, (mg.PoissonMargin(2.0),
                                          mg.PoissonMargin(6.0),
                                          mg.OrdinalMargin([0.3, 0.7])))
         x = np.array([[1.0, 4.0, 2.0]])
-        runs = [viz.conditional_latent_means(x, comp,
-                                             np.random.default_rng(seed),
-                                             n_mc=200)
-                for seed in range(40)]
-        means = np.array([m[0] for m, _ in runs])
-        errs = np.array([e[0] for _, e in runs])
-        assert np.all(errs > 0)
-        ratio = means.std(axis=0) / np.sqrt(np.mean(errs ** 2, axis=0))
-        assert np.all((ratio > 1 / 3) & (ratio < 3))
+        mean, err = viz.conditional_latent_means(x, comp)
+        _, _, lo, hi, _, cov = mx.latent_geometry(
+            x, mx.discrete_index(x, 0), comp)
+        expected, ref_err = rejection_means(cov, lo, hi,
+                                            np.random.default_rng(40))
+        assert np.all(err > 0)
+        tol = 4.5 * np.sqrt(err ** 2 + ref_err ** 2)
+        assert np.all(np.abs(mean - expected) <= tol)
 
 
 class TestProject:
@@ -173,8 +169,7 @@ class TestProject:
 
     def test_shapes_and_labels(self, data):
         ds, z, params = data
-        rng = np.random.default_rng(11)
-        proj = viz.project(ds, params, 0, rng=rng, n_mc=100)
+        proj = viz.project(ds, params, 0)
         assert proj["scores"].shape == (300, 2)
         assert proj["mc_error"].shape == (300, 2)
         # labels close to the simulation truth for well separated components
@@ -189,7 +184,7 @@ class TestProject:
                         mg.GaussianMargin(0.0, 2.0)))
         params = mx.MixtureParams(np.array([1.0]), (comp,), mx.INDEPENDENT)
         ds, _, _ = mx.generate(50, params, rng)
-        proj = viz.project(ds, params, 0, rng=rng)
+        proj = viz.project(ds, params, 0)
         latent = np.column_stack([ds.values[:, 0],
                                   ds.values[:, 1] / 2.0])
         # identity correlation: axes are coordinate directions with unit
@@ -202,24 +197,43 @@ class TestProject:
 
     def test_score_cloud_roughly_centred(self, data):
         ds, _, params = data
-        rng = np.random.default_rng(13)
-        proj = viz.project(ds, params, 0, rng=rng, n_mc=100)
+        proj = viz.project(ds, params, 0)
         keep = proj["labels"] == proj["component"]
         if keep.mean() < 0.5:
             keep = ~keep
         centred = proj["scores"][keep].mean(axis=0)
         assert np.all(np.abs(centred) < 0.3)
 
-    def test_two_discrete_scores_do_not_depend_on_generator(self, data):
-        # two discrete columns take a deterministic quadrature: nothing is
-        # drawn, so any generator and any n_mc give the same bytes
+    def test_scores_repeat_without_a_generator(self, data):
+        # nothing is drawn: two calls give the same bytes, with two discrete
+        # columns (a deterministic quadrature) and with three (the lattice
+        # under fixed shifts)
         ds, _, params = data
-        first = viz.project(ds, params, 0, rng=np.random.default_rng(21))
-        second = viz.project(ds, params, 0, rng=np.random.default_rng(22),
-                             n_mc=40)
-        np.testing.assert_array_equal(first["scores"], second["scores"])
-        np.testing.assert_array_equal(first["mc_error"], second["mc_error"])
-        assert np.all(first["mc_error"] < 1e-8)
+        three = mx.MixtureParams(np.array([1.0]), (mx.ComponentParams(
+            np.array([[1.0, 0.3, 0.2], [0.3, 1.0, -0.4], [0.2, -0.4, 1.0]]),
+            (mg.PoissonMargin(2.0), mg.PoissonMargin(6.0),
+             mg.OrdinalMargin([0.3, 0.7]))),))
+        ds3, _, _ = mx.generate(60, three, np.random.default_rng(21))
+        for dataset, mixture in ((ds, params), (ds3, three)):
+            first = viz.project(dataset, mixture, 0)
+            second = viz.project(dataset, mixture, 0)
+            np.testing.assert_array_equal(first["scores"], second["scores"])
+            np.testing.assert_array_equal(first["mc_error"],
+                                          second["mc_error"])
+        assert np.all(first["mc_error"] > 0)
+        assert np.all(viz.project(ds, params, 0)["mc_error"] < 1e-8)
+
+    def test_margins_must_match_schema(self, data):
+        # a Poisson margin on the binary column, or an ordinal margin with
+        # the wrong number of levels, fits another model than the data's
+        ds, _, params = data
+        for margin in (mg.PoissonMargin(1.0),
+                       mg.OrdinalMargin([0.2, 0.3, 0.5])):
+            wrong = mx.MixtureParams(params.proportions, tuple(
+                mx.ComponentParams(c.correlation, c.margins[:2] + (margin,))
+                for c in params.components))
+            with pytest.raises(ValueError, match="schema"):
+                viz.project(ds, wrong, 0)
 
     def test_large_count_scores_finite(self, data):
         # a count of 34 or more has a cdf that rounds to 1 under the rate 5
@@ -227,18 +241,16 @@ class TestProject:
         ds, _, params = data
         values = np.vstack([ds.values, [[-2.0, 34.0, 1.0], [-2.0, 60.0, 2.0]]])
         ds = type(ds)(ds.schema, values)
-        proj = viz.project(ds, params, 0, rng=np.random.default_rng(14),
-                           n_mc=100)
+        proj = viz.project(ds, params, 0)
         assert np.all(np.isfinite(proj["scores"]))
         assert np.all(np.isfinite(proj["mc_error"]))
 
     def test_axis_validation(self, data):
         ds, _, params = data
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            viz.project(ds, params, 0, rng, axes=(1, 0))
+            viz.project(ds, params, 0, axes=(1, 0))
         with pytest.raises(ValueError):
-            viz.project(ds, params, 0, rng, axes=(0, 3))
+            viz.project(ds, params, 0, axes=(0, 3))
 
 
 class TestCsvExport:
@@ -248,7 +260,7 @@ class TestCsvExport:
         rng = np.random.default_rng(14)
         params = example_mixture()
         ds, _, _ = mx.generate(20, params, rng)
-        return ds, viz.project(ds, params, 1, rng=rng, n_mc=50)
+        return ds, viz.project(ds, params, 1)
 
     def test_scores_csv(self, proj):
         _, p = proj
