@@ -2,9 +2,8 @@
 
 Monte-Carlo Kullback-Leibler divergence, permutation-invariant
 misclassification rate, a bivariate Poisson mixture generator (trivariate
-reduction) used as an out-of-model truth, a brute-force quadrature density
-oracle independent of the production rectangle-probability code, and the
-two canned simulation studies.
+reduction) used as an out-of-model truth, and the two canned simulation
+studies.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "BivPoissonMixtureParams",
     "kl_divergence_mc", "misclassification_rate",
     "bivariate_poisson_mixture_generate", "bivariate_poisson_mixture_logpmf",
-    "oracle_logpdf_quadrature",
     "example1_params", "karlis_params",
     "run_simulation_study", "format_study_table",
 ]
@@ -153,105 +151,6 @@ def bivariate_poisson_mixture_logpmf(values: np.ndarray,
         for k in range(params.g)
     ])
     return logsumexp(logs + np.log(params.proportions), axis=1)
-
-
-# ---------------------------------------------------------------------------
-# brute-force quadrature oracle
-
-_ORACLE_TRUNC = 8.5
-_ORACLE_NODES = 200
-
-
-def oracle_logpdf_quadrature(x: np.ndarray, component: ComponentParams,
-                             n_nodes: int = _ORACLE_NODES) -> float:
-    """Component log density by tensor-product Gauss-Legendre quadrature.
-
-    Deliberately independent of the production rectangle-probability code:
-    the discrete-block integral is evaluated on a dense grid (infinite
-    bounds truncated at 8.5 conditional standard deviations).  Supports up
-    to three discrete dimensions.
-    """
-    x = np.asarray(x, dtype=float)
-    c, d = component.n_continuous, component.n_discrete
-    if d > 3:
-        raise ValueError("oracle supports at most three discrete dimensions")
-    corr = component.correlation
-
-    log_cont = 0.0
-    if c:
-        y_c = np.array([(x[j] - m.mu) / m.sigma
-                        for j, m in enumerate(component.margins[:c])])
-        cov_cc = corr[:c, :c]
-        chol = np.linalg.cholesky(cov_cc)
-        sol = np.linalg.solve(chol, y_c)
-        log_cont = (-0.5 * (sol @ sol + c * np.log(2.0 * np.pi))
-                    - np.sum(np.log(np.diag(chol)))
-                    - sum(np.log(m.sigma) for m in component.margins[:c]))
-    if d == 0:
-        return float(log_cont)
-
-    lo = np.empty(d)
-    hi = np.empty(d)
-    for j, margin in enumerate(component.margins[c:]):
-        (lo[j],), (hi[j],) = mg.latent_bounds_arrays(x[c + j:c + j + 1], margin)
-    if c:
-        coef = np.linalg.solve(corr[:c, :c], corr[:c, c:])
-        mean = y_c @ coef
-        cov = corr[c:, c:] - corr[c:, :c] @ coef
-        cov = 0.5 * (cov + cov.T)
-    else:
-        mean = np.zeros(d)
-        cov = corr
-
-    sd = np.sqrt(np.diag(cov))
-    lo = np.maximum(lo, mean - _ORACLE_TRUNC * sd)
-    hi = np.minimum(hi, mean + _ORACLE_TRUNC * sd)
-    if np.any(lo >= hi):
-        return float("-inf")
-
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    grids = []
-    wgts = []
-    for j in range(d):
-        half = 0.5 * (hi[j] - lo[j])
-        grids.append(lo[j] + half * (nodes + 1.0))
-        wgts.append(weights * half)
-
-    prec = np.linalg.inv(cov)
-    logdet = np.linalg.slogdet(cov)[1]
-    norm_const = -0.5 * (d * np.log(2.0 * np.pi) + logdet)
-
-    if d == 1:
-        u = grids[0] - mean[0]
-        dens = np.exp(norm_const - 0.5 * prec[0, 0] * u * u)
-        integral = float(wgts[0] @ dens)
-    elif d == 2:
-        u = grids[0] - mean[0]
-        v = grids[1] - mean[1]
-        quad = (prec[0, 0] * u[:, None] ** 2
-                + 2.0 * prec[0, 1] * u[:, None] * v[None, :]
-                + prec[1, 1] * v[None, :] ** 2)
-        dens = np.exp(norm_const - 0.5 * quad)
-        integral = float(wgts[0] @ dens @ wgts[1])
-    else:
-        integral = 0.0
-        v = grids[1] - mean[1]
-        t = grids[2] - mean[2]
-        inner = (prec[1, 1] * v[:, None] ** 2
-                 + 2.0 * prec[1, 2] * v[:, None] * t[None, :]
-                 + prec[2, 2] * t[None, :] ** 2)
-        for i0 in range(n_nodes):
-            u = grids[0][i0] - mean[0]
-            quad = (prec[0, 0] * u * u
-                    + 2.0 * prec[0, 1] * u * v[:, None]
-                    + 2.0 * prec[0, 2] * u * t[None, :]
-                    + inner)
-            dens = np.exp(norm_const - 0.5 * quad)
-            integral += wgts[0][i0] * float(wgts[1] @ dens @ wgts[2])
-
-    if integral <= 0:
-        return float("-inf")
-    return float(log_cont + np.log(integral))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ and each row's position in it, so latent bounds are computed once per
 distinct value.
 
 Scoring works on all rows at once: ``mixture_logpdf_rows``,
-``posterior_probs_rows`` and ``posterior_and_logpdf_rows`` build one
-``discrete_index`` per call and score every component from it with
-``component_logpdf_rows``.
+``posterior_probs_rows`` and ``posterior_and_logpdf_rows`` take the
+distinct rows, build one ``discrete_index`` of them per call and score
+every component from it with ``component_logpdf_rows``, which adds the log
+rectangle probability from ``gauss.box_probabilities``: exact or
+deterministic to about 1e-10 in relative terms at three or fewer discrete
+columns, however far out the box lies, and a lattice estimate beyond.
 
 Three correlation families are supported: ``independent`` (every matrix is
 the identity, so the model collapses to a locally independent mixture),
@@ -52,8 +55,9 @@ HOMOSCEDASTIC = "homoscedastic"
 HETEROSCEDASTIC = "heteroscedastic"
 FAMILIES = (INDEPENDENT, HOMOSCEDASTIC, HETEROSCEDASTIC)
 
-# Smallest representable double log; used instead of -inf when a rectangle
-# probability underflows, so acceptance ratios stay computable.
+# Log of the smallest positive double; a component log density of an empty
+# box (-inf) or below this takes it, so log-sum-exp and the posterior's
+# all-floored test stay computable.
 LOG_DENSITY_FLOOR = -745.0
 
 
@@ -247,27 +251,28 @@ def latent_geometry(values: np.ndarray, index, component: ComponentParams):
 def component_logpdf_rows(values: np.ndarray, index, component: ComponentParams
                           ) -> np.ndarray:
     """Component log density for every row of ``values``, whose
-    ``discrete_index`` is ``index``.  A row whose rectangle probability
-    underflows carries the log-density floor."""
+    ``discrete_index`` is ``index``: the continuous block's log density
+    plus the log rectangle probability of the discrete block given it.  A
+    row with an empty box, or a log density below the floor, carries the
+    floor."""
     _, out, lo, hi, cond_mean, cond_cov = latent_geometry(values, index,
                                                           component)
     if component.n_discrete == 0:
         return out
-
-    prob, _ = gauss.box_probabilities(cond_cov, lo - cond_mean, hi - cond_mean)
-
-    degenerate = ~(prob > 0) | ~np.isfinite(prob)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = out + np.where(degenerate, 0.0, np.log(np.maximum(prob, 1e-323)))
-    degenerate |= ~np.isfinite(out) | (out < LOG_DENSITY_FLOOR)
-    return np.where(degenerate, LOG_DENSITY_FLOOR, out)
+    log_p, _ = gauss.box_probabilities(cond_cov, lo - cond_mean,
+                                       hi - cond_mean)
+    out = out + log_p
+    return np.where(out >= LOG_DENSITY_FLOOR, out, LOG_DENSITY_FLOOR)
 
 
 def _component_log_matrix(values: np.ndarray, params: MixtureParams
                           ) -> np.ndarray:
-    index = discrete_index(values, params.n_continuous)
-    return np.column_stack([component_logpdf_rows(values, index, comp)
-                            for comp in params.components])
+    """(n, g) component log densities; each distinct row is scored once,
+    which saves work on count data, whose rows repeat."""
+    distinct, rows = np.unique(values, axis=0, return_inverse=True)
+    index = discrete_index(distinct, params.n_continuous)
+    return np.column_stack([component_logpdf_rows(distinct, index, comp)
+                            for comp in params.components])[rows]
 
 
 def mixture_logpdf_rows(values: np.ndarray, params: MixtureParams

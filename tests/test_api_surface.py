@@ -16,7 +16,6 @@ PACKAGE = pathlib.Path(copulamix.__file__).parent
 
 # public names whose callers live outside the package
 ALLOWED = {
-    ("evaluate", "oracle_logpdf_quadrature"),  # reference density for tests
     ("sampler", "load_chain"),  # reads back the draws of a fit bundle
 }
 

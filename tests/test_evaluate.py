@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from conftest import component_logpdf
+from conftest import component_logpdf, oracle_logpdf_quadrature
 
 from copulamix import evaluate as ev, margins as mg, model as mx, sampler as sp
 
@@ -140,13 +140,16 @@ class TestBivariatePoisson:
 
 
 class TestOracle:
+    """The quadrature oracle of ``conftest`` that the acceptance suite
+    checks the production density against."""
+
     def test_independent_factorizes(self):
         rng = np.random.default_rng(8)
         comp = mx.ComponentParams(
             np.eye(3), (mg.GaussianMargin(0.5, 1.2), mg.PoissonMargin(4.0),
                         mg.OrdinalMargin([0.3, 0.7])))
         for x in ([0.0, 3.0, 1.0], [2.0, 0.0, 2.0], [-1.0, 7.0, 1.0]):
-            got = ev.oracle_logpdf_quadrature(np.array(x), comp)
+            got = oracle_logpdf_quadrature(np.array(x), comp)
             ref = sum(mg.logpdf_array(x[j], comp.margins[j])
                       for j in range(3))
             assert got == pytest.approx(ref, abs=1e-8)
@@ -157,13 +160,13 @@ class TestOracle:
         corr = np.array([[1.0, 0.5], [0.5, 1.0]])
         comp = mx.ComponentParams(corr, (mg.OrdinalMargin([0.5, 0.5]),
                                          mg.OrdinalMargin([0.5, 0.5])))
-        got = ev.oracle_logpdf_quadrature(np.array([1.0, 1.0]), comp)
+        got = oracle_logpdf_quadrature(np.array([1.0, 1.0]), comp)
         assert got == pytest.approx(np.log(1.0 / 3.0), abs=1e-9)
 
     def test_matches_production_path(self):
         comp = ev.example1_params().components[0]
         x = np.array([-2.0, 5.0, 1.0])
-        got = ev.oracle_logpdf_quadrature(x, comp)
+        got = oracle_logpdf_quadrature(x, comp)
         prod = component_logpdf(x, comp)
         assert got == pytest.approx(prod, abs=1e-8)
 
@@ -171,7 +174,7 @@ class TestOracle:
         comp = mx.ComponentParams(
             np.eye(4), tuple(mg.OrdinalMargin([0.5, 0.5]) for _ in range(4)))
         with pytest.raises(ValueError):
-            ev.oracle_logpdf_quadrature(np.ones(4), comp)
+            oracle_logpdf_quadrature(np.ones(4), comp)
 
 
 class TestStudies:

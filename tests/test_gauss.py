@@ -127,6 +127,13 @@ class TestTruncatedNormal:
 
 
 class TestBvnRectangle:
+    """``box_probabilities`` at d = 2 on standard bivariate normals."""
+
+    @staticmethod
+    def _prob(lower, upper, rho):
+        cov = np.array([[1.0, rho], [rho, 1.0]])
+        return np.exp(gauss.box_probabilities(cov, lower, upper)[0])
+
     @pytest.mark.parametrize("rho", [0.0, 0.3, -0.5, 0.8, -0.925, 0.99,
                                      -0.999])
     def test_matches_quadrature(self, rho):
@@ -138,14 +145,14 @@ class TestBvnRectangle:
                 a[0] = -np.inf
             if rng.random() < 0.3:
                 b[1] = np.inf
-            p = gauss.bvn_rectangle(a[None, :], b[None, :], rho)[0]
+            p = self._prob(a[None, :], b[None, :], rho)[0]
             assert p == pytest.approx(bvn_reference(a, b, rho), abs=5e-11)
 
     def test_orthant_identity(self):
         # P(X<0, Y<0) = 1/4 + arcsin(rho) / (2 pi)
         for rho in (0.5, -0.5, 0.9):
-            p = gauss.bvn_rectangle(np.array([[-np.inf, -np.inf]]),
-                                    np.array([[0.0, 0.0]]), rho)[0]
+            p = self._prob(np.array([[-np.inf, -np.inf]]),
+                           np.array([[0.0, 0.0]]), rho)[0]
             assert p == pytest.approx(0.25 + np.arcsin(rho) / (2 * np.pi),
                                       abs=1e-14)
 
@@ -166,25 +173,35 @@ class TestBoxProbabilities:
             cov = random_correlation_matrix(d, rng)
             a = rng.normal(size=d) - 1.0
             b = a + rng.exponential(size=d) + 0.5
-            value, err = gauss.box_probabilities(cov, a[None, :], b[None, :])
+            log_p, err = gauss.box_probabilities(cov, a[None, :], b[None, :])
             ref = self._reference(cov, a, b)
             # scipy's own cdf is Monte Carlo beyond d=2; keep a loose gate
-            assert value[0] == pytest.approx(ref, abs=5e-4)
-            assert 0.0 <= value[0] <= 1.0
+            assert np.exp(log_p[0]) == pytest.approx(ref, abs=5e-4)
+            assert log_p[0] <= 0.0
 
     def test_zero_dims(self):
-        value, err = gauss.box_probabilities(np.empty((0, 0)),
+        log_p, err = gauss.box_probabilities(np.empty((0, 0)),
                                              np.empty((1, 0)),
                                              np.empty((1, 0)))
-        assert value[0] == 1.0
+        assert log_p[0] == 0.0
+
+    def test_empty_box_is_minus_inf(self):
+        # (inf, inf) is the box of a level whose mass underflowed
+        for d in (1, 2, 3, 4):
+            lower, upper = np.zeros((3, d)), np.ones((3, d))
+            lower[0, 0] = upper[0, 0] = np.inf
+            lower[1, -1] = upper[1, -1] = 0.5
+            log_p, _ = gauss.box_probabilities(np.eye(d) * 0.6 + 0.4,
+                                               lower, upper)
+            assert np.all(log_p[:2] == -np.inf) and np.isfinite(log_p[2])
 
     def test_full_box_is_one(self):
         rng = np.random.default_rng(11)
         for d in (2, 3, 4):
             cov = random_correlation_matrix(d, rng)
-            value, _ = gauss.box_probabilities(cov, np.full((3, d), -np.inf),
+            log_p, _ = gauss.box_probabilities(cov, np.full((3, d), -np.inf),
                                                np.full((3, d), np.inf))
-            np.testing.assert_allclose(value, 1.0, atol=1e-6)
+            np.testing.assert_allclose(log_p, 0.0, atol=1e-6)
 
     def test_qmc_error_estimate_honest(self):
         rng = np.random.default_rng(12)
@@ -193,9 +210,11 @@ class TestBoxProbabilities:
             cov = random_correlation_matrix(4, rng)
             a = rng.normal(size=4) - 1.0
             b = a + rng.exponential(size=4) + 0.3
-            value, err = gauss.box_probabilities(cov, a[None, :], b[None, :])
+            log_p, rel_err = gauss.box_probabilities(cov, a[None, :],
+                                                     b[None, :])
+            value, err = np.exp(log_p[0]), rel_err[0] * np.exp(log_p[0])
             ref = self._reference(cov, a, b)
-            if abs(value[0] - ref) > max(err[0], 2e-4):
+            if abs(value - ref) > max(err, 2e-4):
                 misses += 1
         assert misses <= 2
 
@@ -222,7 +241,7 @@ class TestBoxProbabilities:
 
         monkeypatch.setattr(gauss, "_mvn_qmc_batch", counting)
         monkeypatch.setattr(gauss, "_QMC_MAX_POINTS", 5000)
-        value, err = gauss.box_probabilities(cov, a, b)
+        log_p, rel_err = gauss.box_probabilities(cov, a, b)
         assert calls[0][0] == list(range(12))
         assert max(points for _, points, _, _ in calls) == 5000
         assert 0 < len(calls[-1][0]) < 12  # some rows stop early, some hit the cap
@@ -234,14 +253,16 @@ class TestBoxProbabilities:
             done |= {i for i, ok in zip(ids, e <= 1e-4 * v) if ok}
             last.update({i: (vi, ei) for i, vi, ei in zip(ids, v, e)})
         assert done
-        # a row keeps the value and error of the last pass it took part in
-        assert all(value[i] == vi and err[i] == ei
+        # a row keeps the value and error of the last pass it took part in,
+        # returned as the log and the error over the value
+        assert all(log_p[i] == np.log(vi) and rel_err[i] == ei / vi
                    for i, (vi, ei) in last.items())
 
     def test_qmc_matches_dense_reference(self):
         rng = np.random.default_rng(15)
         cov, a, b = self._qmc_rows(rng, 5)
-        value, err = gauss.box_probabilities(cov, a, b)
+        log_p, rel_err = gauss.box_probabilities(cov, a, b)
+        value, err = np.exp(log_p), rel_err * np.exp(log_p)
         # shifts of its own, so the reference shares no lattice points with
         # the fixed-shift estimate it checks
         shifts = np.random.default_rng(16).uniform(size=(8, 3))
@@ -263,7 +284,8 @@ class TestBoxProbabilities:
     def test_qmc_values_are_pinned(self, d, value, err):
         # the lattice rule's values and errors bit for bit, on rows that
         # refine from 512 points per shift up to the cap: the scores of a
-        # fit must not move when the lattice code does
+        # fit must not move when the lattice code does.  They come back as
+        # the log of the value and the error over the value
         rng = np.random.default_rng([19, d])
         cov = random_correlation_matrix(d, rng)
         a = rng.normal(size=(4, d)) * 1.5 - 1.0
@@ -271,12 +293,12 @@ class TestBoxProbabilities:
         a[0, 1] = -np.inf
         b[1, 2] = np.inf
         got, got_err = gauss.box_probabilities(cov, a, b)
-        np.testing.assert_array_equal(got, value)
-        np.testing.assert_array_equal(got_err, err)
+        np.testing.assert_array_equal(got, np.log(value))
+        np.testing.assert_array_equal(got_err, np.divide(err, value))
 
     def test_many_rows_share_covariance(self):
         rng = np.random.default_rng(13)
-        for d in (2, 4, 5):  # closed form, then the lattice rule
+        for d in (2, 4, 5):  # quadrature, then the lattice rule
             cov = random_correlation_matrix(d, rng)
             a = rng.normal(size=(50, d)) - 1.0
             b = a + 1.0
@@ -284,7 +306,113 @@ class TestBoxProbabilities:
             singles = [gauss.box_probabilities(cov, a[i:i + 1],
                                                b[i:i + 1])[0][0]
                        for i in range(50)]
-            np.testing.assert_allclose(values, singles, rtol=1e-12)
+            np.testing.assert_allclose(np.exp(values), np.exp(singles),
+                                       rtol=1e-12)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PIECE_ENDS = 8.0 ** np.arange(-4, 3)  # 2^-12 .. 64
+
+
+def _mp_mass(mpmath, a, b):
+    """Standard normal mass of (a, b), from ncdf of the negated bounds on
+    the upper tail so that the difference does not cancel."""
+    if a > 0:
+        return mpmath.ncdf(-a) - mpmath.ncdf(-b)
+    return mpmath.ncdf(b) - mpmath.ncdf(a)
+
+
+def _mp_tail_integral(mpmath, f, a, b):
+    """Integral of npdf(x) f(x) over (a, b) by composite Gauss-Legendre in
+    u = s (x - a), s = max(1, a): the tail's own scale, on pieces that grow
+    eightfold from 2^-12 to 256, past which the integrand is below e^-256
+    of its value at a.  Mirrored on the lower tail and split at 0."""
+    if a < 0 < b:
+        return (_mp_tail_integral(mpmath, f, a, 0.0)
+                + _mp_tail_integral(mpmath, f, 0.0, b))
+    if b <= 0:
+        return _mp_tail_integral(mpmath, lambda x: f(-x), -b, -a)
+    s = max(1.0, a)
+    width = s * (b - a)
+    ends = [0.0, *_PIECE_ENDS[_PIECE_ENDS < width], min(width, 256.0)]
+    total = mpmath.mpf(0)
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+            x = mpmath.mpf(a) + mpmath.mpf(lo + (hi - lo) * (1 + node) / 2) / s
+            total += (hi - lo) / 2 * weight * mpmath.npdf(x) * f(x)
+    return total / s
+
+
+def _mp_box(mpmath, cov, lower, upper):
+    """P(lower < X < upper) for X ~ N(0, cov) in mpmath: integrate over the
+    coordinate of least interval mass, the rest conditional on it."""
+    d = len(lower)
+    sd = [np.sqrt(cov[i][i]) for i in range(d)]
+    mass = [_mp_mass(mpmath, lower[i] / sd[i], upper[i] / sd[i])
+            for i in range(d)]
+    if d == 1:
+        return mass[0]
+    i = min(range(d), key=lambda j: mass[j])
+    rest = [j for j in range(d) if j != i]
+    beta = [cov[j][i] / cov[i][i] for j in rest]
+    cond = [[cov[j][k] - cov[j][i] * cov[i][k] / cov[i][i] for k in rest]
+            for j in rest]
+
+    def given(x):
+        shift = [b * x * sd[i] for b in beta]
+        return _mp_box(mpmath, cond,
+                       [lower[j] - m for j, m in zip(rest, shift)],
+                       [upper[j] - m for j, m in zip(rest, shift)])
+
+    return _mp_tail_integral(mpmath, given, lower[i] / sd[i],
+                             upper[i] / sd[i])
+
+
+def mp_log_box(cov, lower, upper):
+    """log P of a zero-mean normal box by an independent mpmath rule at 20
+    digits, whatever the exponent: composite Gauss-Legendre over tail-scaled
+    pieces, the last coordinate in closed form."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        return float(mpmath.log(_mp_box(mpmath, np.asarray(cov).tolist(),
+                                        list(lower), list(upper))))
+
+
+class TestFarTailBoxes:
+    """Boxes 6 to 40 sd out, whose probabilities lie far below the smallest
+    double: every row is finite and within 1e-8 of the reference in log P,
+    relative to |log P| where that exceeds 1."""
+
+    BOXES = [((6.0, 7.0), (np.inf, 8.0)), ((9.0, 9.0), (np.inf, np.inf)),
+             ((-40.0, -np.inf), (-39.0, -38.0)),
+             ((20.0, -np.inf), (np.inf, -6.0))]
+
+    @staticmethod
+    def _check(cov, lower, upper):
+        log_p, err = gauss.box_probabilities(cov, lower, upper)
+        ref = np.array([mp_log_box(cov, lo, hi)
+                        for lo, hi in zip(lower, upper)])
+        assert np.all(np.isfinite(log_p)) and np.all(np.isfinite(err))
+        assert np.all(ref < -20.0)
+        np.testing.assert_array_less(np.abs(log_p - ref),
+                                     1e-8 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("rho", [0.5, -0.5, 0.9, -0.9, 0.99, -0.99])
+    def test_bivariate(self, rho):
+        lower, upper = (np.array(side, dtype=float)
+                        for side in zip(*self.BOXES))
+        self._check(np.array([[1.0, rho], [rho, 1.0]]), lower, upper)
+
+    @pytest.mark.parametrize("r12, r23, lower, upper", [
+        (0.5, -0.9, (9.0, 9.0, -np.inf), (np.inf, np.inf, -6.0)),
+        (-0.5, 0.99, (-40.0, 6.0, 6.0), (-39.0, np.inf, 7.0)),
+        (0.9, -0.99, (-np.inf, -np.inf, 20.0), (-6.0, -6.0, np.inf)),
+    ])
+    def test_trivariate(self, r12, r23, lower, upper):
+        # a Markov chain x1 - x2 - x3, positive definite for any |r| < 1
+        cov = np.array([[1.0, r12, r12 * r23], [r12, 1.0, r23],
+                        [r12 * r23, r23, 1.0]])
+        self._check(cov, np.array([lower]), np.array([upper]))
 
 
 # interior, straddling, half-infinite and far-tail intervals
@@ -381,9 +509,10 @@ class TestGhkRows:
         _, log_w = gauss.ghk_rows(gauss.chol_spd(cov), mean * rows,
                                   lo * rows, hi * rows, rng)
         w = np.exp(log_w)
-        exact, _ = gauss.box_probabilities(cov, (lo - mean)[None, :],
+        log_p, _ = gauss.box_probabilities(cov, (lo - mean)[None, :],
                                            (hi - mean)[None, :])
-        assert abs(w.mean() - exact[0]) < 4 * w.std(ddof=1) / np.sqrt(n)
+        exact = np.exp(log_p[0])
+        assert abs(w.mean() - exact) < 4 * w.std(ddof=1) / np.sqrt(n)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_score_returns_the_draws_weight(self, dim):

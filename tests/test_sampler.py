@@ -14,8 +14,8 @@ from copulamix import gauss, margins as mg, model as mx, sampler as sp
 from copulamix.schema import MixedDataset, Schema, continuous, ordinal
 
 
-D4_TRUTH = os.path.join(os.path.dirname(__file__), "fixtures",
-                        "d4_truth.json")
+D3_TRUTH, D4_TRUTH = (os.path.join(os.path.dirname(__file__), "fixtures",
+                                   f"d{d}_truth.json") for d in (3, 4))
 
 
 def example_mixture():
@@ -641,14 +641,17 @@ class TestFit:
         assert res.accept_margins.shape == (2, 3)
 
     def test_estimate_scored_once_matches_row_functions(self):
-        # three discrete columns (closed forms), then four (the lattice rule)
+        # two and three discrete columns (the tanh-sinh rule), then four
+        # (the lattice rule)
         rng = np.random.default_rng(25)
         ds, _, _ = mx.generate(150, example_mixture(), rng)
-        with open(D4_TRUTH, encoding="utf-8") as fh:
-            d4 = mx.params_from_json(fh.read())
-        d4_ds, _, _ = mx.generate(40, d4, np.random.default_rng(27))
+        truths = []
+        for path, n, seed in ((D3_TRUTH, 60, 28), (D4_TRUTH, 40, 27)):
+            with open(path, encoding="utf-8") as fh:
+                truth = mx.params_from_json(fh.read())
+            truths.append(mx.generate(n, truth, np.random.default_rng(seed))[0])
         cfg = sp.ChainConfig(g=2, iterations=8, burn_in=2, n_chains=1)
-        for data in (ds, d4_ds):
+        for data in (ds, *truths):
             res = sp.run_chain(data, cfg, np.random.default_rng(26))
             assert res.loglik == float(mx.mixture_logpdf_rows(
                 data.values, res.params).sum())
