@@ -4,6 +4,12 @@ Subcommands: fit | select | simulate | visualize | eval.  Exit codes:
 0 success, 1 usage or validation error, 2 numerical failure.  Machine
 output goes to files (written atomically: temp file then rename); progress
 notes go to standard error.
+
+Start-up is part of every command's time, so each command imports the
+modules only it needs (``visualize`` loads no sampler), and OpenBLAS is
+asked for one thread unless the environment says otherwise: the sampler's
+matrices are small, chains run in processes of their own, and starting a
+BLAS thread pool costs every command time.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ import os
 import sys
 import tempfile
 
+if "numpy" not in sys.modules:  # OpenBLAS reads it once, as numpy loads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
-from . import evaluate as ev, sampler as sp, selection as sel, viz
-from .gauss import NumericalError
 from .model import (
     FAMILIES, HETEROSCEDASTIC, generate, params_from_json, params_to_json,
 )
@@ -66,14 +73,16 @@ def _ensure_outdir(path: str) -> str:
 
 
 def _chain_config(args, g: int, family: str, keep_draws: bool = False,
-                  thin: int = 1) -> sp.ChainConfig:
+                  thin: int = 1):
+    from . import sampler as sp
+
     return sp.ChainConfig(
         g=g, family=family, iterations=args.iters, burn_in=args.burnin,
         seed=args.seed, n_chains=args.chains, keep_draws=keep_draws,
         thin=thin)
 
 
-def _partition_csv(result: sp.FitResult) -> str:
+def _partition_csv(result) -> str:
     g = result.posterior.shape[1]
     lines = ["row_id,label," + ",".join(f"t{k + 1}" for k in range(g))]
     for i, (label, t_row) in enumerate(zip(result.labels, result.posterior)):
@@ -83,6 +92,8 @@ def _partition_csv(result: sp.FitResult) -> str:
 
 
 def cmd_fit(args) -> int:
+    from . import sampler as sp
+
     dataset = load_dataset(args.data, args.schema)
     config = _chain_config(args, args.g, args.family, keep_draws=True,
                            thin=args.thin)
@@ -109,6 +120,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from . import selection as sel
+
     dataset = load_dataset(args.data, args.schema)
     if args.gmin < 1 or args.gmax < args.gmin:
         raise UsageError("need 1 <= gmin <= gmax")
@@ -144,6 +157,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import evaluate as ev
+
     if args.n < 1:
         raise UsageError("n must be >= 1")
     rng = np.random.default_rng(args.seed)
@@ -178,6 +193,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_visualize(args) -> int:
+    from . import viz
+
     dataset = load_dataset(args.data, args.schema)
     with open(args.fit, encoding="utf-8") as fh:
         params = params_from_json(fh.read())
@@ -207,6 +224,8 @@ def cmd_visualize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluate as ev
+
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
@@ -311,9 +330,18 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (sp.DegenerateFitError, NumericalError, ArithmeticError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+
+
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that exit with ``EXIT_NUMERICAL``: arithmetic errors
+    (``gauss.NumericalError`` among them) and, if a command loaded the
+    sampler, which alone raises it, ``DegenerateFitError``."""
+    sampler = sys.modules.get(f"{__package__}.sampler")
+    return (ArithmeticError,) + (
+        (sampler.DegenerateFitError,) if sampler is not None else ())
 
 
 if __name__ == "__main__":

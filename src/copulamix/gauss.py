@@ -237,6 +237,7 @@ def ghk_rows(chol: np.ndarray, mean: np.ndarray, lower: np.ndarray,
     y = np.empty((n, d)) if draw else np.asarray(y, dtype=float)
     e = np.empty((n, d))
     log_w = np.zeros(n)
+    inside = np.ones(n, dtype=bool)
     for i in range(d):
         mu = mean[:, i] + e[:, :i] @ chol[i, :i]
         a = (lower[:, i] - mu) / chol[i, i]
@@ -247,9 +248,10 @@ def ghk_rows(chol: np.ndarray, mean: np.ndarray, lower: np.ndarray,
         else:
             e[:, i] = (y[:, i] - mu) / chol[i, i]
             log_mass = log_gaussian_interval(a, b)
+            # column by column: numpy reduces slowly along a short axis
+            inside &= (y[:, i] >= lower[:, i]) & (y[:, i] <= upper[:, i])
         log_w += log_mass
     if not draw:
-        inside = np.all((y >= lower) & (y <= upper), axis=1)
         log_w = np.where(inside, log_w, -np.inf)
     return y, log_w
 

@@ -30,11 +30,12 @@ per component).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
+from scipy.special import ndtr
 
 from . import gauss, margins as mg
 from .schema import MixedDataset, Schema, VariableKind, continuous, integer, ordinal
@@ -182,6 +183,8 @@ class LatentState:
     ``y`` is (n, e); ``z`` holds 0-based component indices.  Continuous
     latent coordinates equal the standardized observation exactly; discrete
     coordinates lie strictly inside the interval their observation maps to.
+    The independent family carries no discrete latent coordinates: nothing
+    reads them there, so the sampler leaves them NaN.
     """
 
     y: np.ndarray
@@ -205,6 +208,36 @@ def schema_of(params: MixtureParams) -> Schema:
 
 # ---------------------------------------------------------------------------
 # densities
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` of an (n, g) array, bit for bit.  numpy adds fewer
+    than 8 terms in order, which is much faster done column by column; from
+    8 on it adds pairwise, and its own sum is kept."""
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    total = a[:, 0].copy()
+    for column in a.T[1:]:
+        total += column
+    return total
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=1)`` of an (n, g) array, bit for
+    bit: scipy's arithmetic, with the row maxima and sums taken column by
+    column (``_row_sum``), since numpy reduces slowly along a short axis."""
+    top = functools.reduce(np.maximum, a.T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        at_top = a == top[:, None]
+        count = _row_sum(at_top.astype(float))
+        rest = _row_sum(np.exp(np.where(at_top, -np.inf, a) - top[:, None]))
+        rest = np.where(rest == 0, rest, rest / count)
+        out = np.log1p(rest) + np.log(count) + top
+        # an infinite or NaN result takes the direct formula, as in scipy
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(_row_sum(np.exp(a[bad])))
+    return out
+
 
 def discrete_index(values: np.ndarray, c: int
                    ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -280,7 +313,7 @@ def mixture_logpdf_rows(values: np.ndarray, params: MixtureParams
     """Mixture log density for every row, via log-sum-exp over components."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     logs = _component_log_matrix(values, params)
-    return logsumexp(logs + np.log(params.proportions), axis=1)
+    return _logsumexp(logs + np.log(params.proportions))
 
 
 def posterior_and_logpdf_rows(values: np.ndarray, params: MixtureParams
@@ -296,11 +329,11 @@ def posterior_and_logpdf_rows(values: np.ndarray, params: MixtureParams
     logs = _component_log_matrix(values, params)
     degenerate = np.all(logs <= LOG_DENSITY_FLOOR, axis=1)
     logs = logs + np.log(params.proportions)
-    log_density = logsumexp(logs, axis=1, keepdims=True)
-    t = np.exp(logs - log_density)
-    t /= t.sum(axis=1, keepdims=True)
+    log_density = _logsumexp(logs)
+    t = np.exp(logs - log_density[:, None])
+    t /= _row_sum(t)[:, None]
     t[degenerate] = 1.0 / params.g
-    return t, log_density[:, 0]
+    return t, log_density
 
 
 def posterior_probs_rows(values: np.ndarray, params: MixtureParams

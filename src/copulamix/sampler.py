@@ -17,16 +17,23 @@ locally independent family the proposal coincides with the target and
 every candidate is accepted.  Each chain indexes the data's discrete
 columns once (``model.discrete_index``); the latent and margin updates
 evaluate a discrete margin on its column's distinct values and gather to
-the rows, so no sweep sorts or support-checks a whole column.
+the rows, so no sweep sorts or support-checks a whole column.  Under the
+locally independent family the discrete latent coordinates feed nothing:
+the sweep leaves them NaN and only draws the uniforms it would have used,
+so the generator's stream, and every output, is that of drawing them.
 
 Point estimation takes the elementwise mean of the post-burn-in draws
 (correlations re-normalized to unit diagonal, proportions and ordinal
 probabilities re-normalized to the simplex), runs several independently
 seeded chains and keeps the one whose mean scores the highest observed
-likelihood.  The chains run in forked worker processes, one per usable CPU
-(in-process when there is one chain or one CPU).  Each chain keeps its own
-spawned seed and the results are taken in chain order, so the output is
-byte-identical to a serial run.
+likelihood.  ``fit`` (one config) and ``selection.sweep`` (a grid of
+them) both run their chains through ``_run_grid``: one pool of forked
+worker processes per call, one per usable CPU (in-process when there is
+one unit or one CPU), over (g, chain seed) units.  A unit runs the
+locally independent EM once and starts every family's chain from its
+estimate and a copy of the generator state after it.  Each chain keeps
+its own spawned seed and the results are taken in chain order, so the
+output is byte-identical to a serial run of each config alone.
 """
 
 from __future__ import annotations
@@ -39,13 +46,12 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import gauss, margins as mg
 from .model import (
     FAMILIES, HETEROSCEDASTIC, HOMOSCEDASTIC, INDEPENDENT,
-    ComponentParams, LatentState, MixtureParams, _params_doc, discrete_index,
-    latent_geometry, posterior_and_logpdf_rows,
+    ComponentParams, LatentState, MixtureParams, _logsumexp, _params_doc,
+    _row_sum, discrete_index, latent_geometry, posterior_and_logpdf_rows,
     posterior_probs_rows,  # noqa: F401 -- perfbench's tracer test wraps it here
 )
 from .schema import MixedDataset, check_identifiability
@@ -192,7 +198,7 @@ def init_local_independent(dataset: MixedDataset, g: int,
                 dist = np.array([np.sum((std_values - std_values[a]) ** 2,
                                         axis=1) for a in anchors]).T
                 logs = -0.5 * dist
-                resp = np.exp(logs - logsumexp(logs, axis=1, keepdims=True))
+                resp = np.exp(logs - _logsumexp(logs)[:, None])
             else:
                 resp = rng.dirichlet(np.ones(g), size=n)
             prev_ll = -np.inf
@@ -203,9 +209,9 @@ def init_local_independent(dataset: MixedDataset, g: int,
                 comps = [[_weighted_margin_mle(values[:, j], kinds[j], resp[:, k])
                           for j in range(len(kinds))] for k in range(g)]
                 logs = _independent_loglik_matrix(index, comps, np.log(pi))
-                row_ll = logsumexp(logs, axis=1, keepdims=True)
-                ll = float(row_ll[:, 0].sum())
-                resp = np.exp(logs - row_ll)
+                row_ll = _logsumexp(logs)
+                ll = float(row_ll.sum())
+                resp = np.exp(logs - row_ll[:, None])
                 if (ll - prev_ll <= _EM_TOL * (1.0 + abs(ll))
                         and prev_ll > -np.inf):
                     break
@@ -236,9 +242,15 @@ def _latent_proposal(values: np.ndarray, index, params: MixtureParams,
     Returns the proposal, each row's log(w_z'(y') / P_z'), and per
     component (continuous latent block, conditional mean, Cholesky factor,
     box, log P) for scoring the current state.
+
+    Under the independent family the discrete coordinates feed nothing:
+    they are left NaN, w = P makes every log ratio 0
+    (``_independent_log_ratio``), and the GHK draw's uniforms are drawn
+    and dropped, so the generator's stream is that of the draw.
     """
     n = values.shape[0]
     c = params.n_continuous
+    independent = params.family == INDEPENDENT
     parts = []
     log_p = np.empty((n, params.g))
     for k, comp in enumerate(params.components):
@@ -252,19 +264,39 @@ def _latent_proposal(values: np.ndarray, index, params: MixtureParams,
         parts.append((y_c, mean, chol, lo, hi, log_phat))
         log_p[:, k] = np.log(params.proportions[k]) + log_phat + log_cont
     # a row with no component of positive weight (every box empty) takes a
-    # uniform label; its proposal has log weight -inf and is not accepted
-    log_p[~np.isfinite(log_p.max(axis=1))] = 0.0
-    probs = np.exp(log_p - log_p.max(axis=1, keepdims=True))
-    z = _categorical_rows(probs / probs.sum(axis=1, keepdims=True), rng)
-    y = np.empty((n, params.dim))
+    # uniform label; its proposal has log weight -inf and is not accepted.
+    # The reductions over components go column by column: numpy's are slow
+    # along a short axis.
+    top = functools.reduce(np.maximum, log_p.T)
+    finite = np.isfinite(top)
+    log_p[~finite] = 0.0
+    probs = np.exp(log_p - np.where(finite, top, 0.0)[:, None])
+    z = _categorical_rows(probs / _row_sum(probs)[:, None], rng)
+    y = np.full((n, params.dim), np.nan)
     log_ratio = np.empty(n)
     for k, (y_c, mean, chol, lo, hi, log_phat) in enumerate(parts):
         rows = np.flatnonzero(z == k)
         y[rows, :c] = y_c[rows]
+        if independent:
+            for _ in range(params.dim - c):
+                rng.random(rows.size)
+            log_ratio[rows] = _independent_log_ratio(log_phat[rows])
+            continue
         y[rows, c:], log_w = gauss.ghk_rows(chol, mean[rows], lo[rows],
                                             hi[rows], rng)
         log_ratio[rows] = log_w - log_phat[rows]
     return LatentState(y, z), log_ratio, parts
+
+
+def _independent_log_ratio(log_phat: np.ndarray) -> np.ndarray:
+    """log(w / P) of rows under the independent family, for the proposal
+    and the current state alike.  With identity correlations the GHK weight
+    w of a point in its box is the product P of its interval masses, by the
+    same arithmetic, so the ratio is exactly 0 and the move accepts.  Where
+    a box is empty both are -inf, and the ratio NaN is never accepted.  A
+    current point outside a nonempty box (ratio -inf) is accepted just as
+    one at 0 is, so 0 stands in for it."""
+    return np.where(np.isfinite(log_phat), 0.0, np.nan)
 
 
 def initial_latent_state(values: np.ndarray, index, params: MixtureParams,
@@ -276,8 +308,14 @@ def initial_latent_state(values: np.ndarray, index, params: MixtureParams,
 
 def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(probs.shape[0])
-    # the last cumulative sum can round below a uniform; never count it
-    return (probs.cumsum(axis=1)[:, :-1] < u[:, None]).sum(axis=1)
+    # a running sum over the columns, as ``cumsum`` adds them; the last
+    # total can round below a uniform, so it is never compared
+    z = np.zeros(u.size, dtype=int)
+    total = np.zeros(u.size)
+    for column in probs.T[:-1]:
+        total += column
+        z += total < u
+    return z
 
 
 def step_latent(values: np.ndarray, index, params: MixtureParams,
@@ -293,7 +331,8 @@ def step_latent(values: np.ndarray, index, params: MixtureParams,
     the proposal only, so the move leaves the exact posterior invariant
     for any positive P.  A current y outside its box has weight 0 and
     always moves.  Under the independent family w = P and every proposal
-    is accepted, which is then an exact draw.  A rejected row keeps its
+    is accepted, which is then an exact draw, and no discrete coordinate
+    is drawn or scored (``_latent_proposal``).  A rejected row keeps its
     state.  ``index`` is the ``model.discrete_index`` of ``values``.
     Returns the new state plus (accepted, proposed) counts.
     """
@@ -302,6 +341,9 @@ def step_latent(values: np.ndarray, index, params: MixtureParams,
     log_old = np.empty(values.shape[0])
     for k, (_, mean, chol, lo, hi, log_phat) in enumerate(parts):
         rows = np.flatnonzero(state.z == k)
+        if params.family == INDEPENDENT:
+            log_old[rows] = _independent_log_ratio(log_phat[rows])
+            continue
         _, log_w = gauss.ghk_rows(chol, mean[rows], lo[rows], hi[rows],
                                   y=state.y[rows, c:])
         log_old[rows] = log_w - log_phat[rows]
@@ -354,8 +396,12 @@ def step_margins(values: np.ndarray, index, params: MixtureParams,
     continuous columns, from its truncated full conditional for discrete
     ones.  A discrete column's latent intervals and log masses are
     evaluated on its support, from ``index`` (the ``model.discrete_index``
-    of ``values``), and gathered to the rows.  Returns the updated
-    parameters, state and a (g, e) 0/1 matrix of acceptances.
+    of ``values``), and gathered to the rows.  Under the independent
+    family the discrete latent columns feed nothing and stay NaN: no
+    interval or conditional is computed, and each refresh's uniforms are
+    drawn and dropped, so the generator's stream is that of the refresh.
+    Returns the updated parameters, state and a (g, e) 0/1 matrix of
+    acceptances.
     """
     c = params.n_continuous
     e = params.dim
@@ -364,8 +410,8 @@ def step_margins(values: np.ndarray, index, params: MixtureParams,
     independent = params.family == INDEPENDENT
     margins_by_comp = [list(comp.margins) for comp in params.components]
     accepted = np.zeros((params.g, e))
-    regressions = [_column_regressions(comp.correlation)
-                   for comp in params.components]
+    regressions = None if independent else [
+        _column_regressions(comp.correlation) for comp in params.components]
 
     for j in range(e):
         rest = np.delete(np.arange(e), j)
@@ -374,23 +420,21 @@ def step_margins(values: np.ndarray, index, params: MixtureParams,
             x_col = values[rows, j]
             old = margins_by_comp[k][j]
             cand = mg.conjugate_posterior_sample(x_col, priors[j], rng)
-            # latent intervals of a discrete column under each margin; the
-            # accepted one's are reused for the refresh below
-            box_old = box_cand = None
-            if j >= c:
-                support, row_index = index[j - c]
-                at = row_index[rows]
-                box_cand = tuple(b[at] for b in
-                                 mg.latent_bounds_arrays(support, cand))
-
-            coef, var = regressions[k][j]
-            mu_t = y[np.ix_(rows, rest)] @ coef
-            sd_t = np.full(rows.size, np.sqrt(var))
             take = independent
             if not independent:
+                # latent intervals of a discrete column under each margin;
+                # the accepted one's are reused for the refresh below
+                box_old = box_cand = None
                 if j >= c:
-                    box_old = tuple(b[at] for b in
-                                    mg.latent_bounds_arrays(support, old))
+                    support, row_index = index[j - c]
+                    at = row_index[rows]
+                    box_old, box_cand = (
+                        tuple(b[at] for b in
+                              mg.latent_bounds_arrays(support, m))
+                        for m in (old, cand))
+                coef, var = regressions[k][j]
+                mu_t = y[np.ix_(rows, rest)] @ coef
+                sd_t = np.full(rows.size, np.sqrt(var))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     if j >= c:
                         ll_ind_old = mg.logpdf_array(support, old)[at].sum()
@@ -414,6 +458,8 @@ def step_margins(values: np.ndarray, index, params: MixtureParams,
                 continue
             if j < c:
                 y[rows, j] = (x_col - margin.mu) / margin.sigma
+            elif independent:
+                rng.uniform(size=rows.size)  # the refresh's draw, dropped
             else:
                 lo, hi = box_cand if take else box_old
                 y[rows, j] = gauss.truncated_normal_rows(mu_t, sd_t, lo, hi, rng)
@@ -594,11 +640,12 @@ def run_chain(dataset: MixedDataset, config: ChainConfig,
     )
 
 
-def _chain_worker_count(n_chains: int) -> int:
-    """Worker processes for a fit's chains: one per usable CPU and at most
-    one per chain.  1 (run in-process) where ``fork`` does not exist, or
-    while other threads run: a forked child keeps only the calling thread,
-    and a lock another thread held would stay locked in it."""
+def _chain_worker_count(n_units: int) -> int:
+    """Worker processes for a grid's (g, chain seed) units: one per usable
+    CPU and at most one per unit.  1 (run in-process) where ``fork`` does
+    not exist, or while other threads run: a forked child keeps only the
+    calling thread, and a lock another thread held would stay locked in
+    it."""
     import multiprocessing
     import threading
 
@@ -609,52 +656,96 @@ def _chain_worker_count(n_chains: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return min(n_chains, cpus)
+    return min(n_units, cpus)
 
 
-def _run_seeded_chain(dataset: MixedDataset, config: ChainConfig,
-                      init: MixtureParams | None,
-                      seed: np.random.SeedSequence):
-    """One chain of ``fit``: (result or None, failure message or None, the
-    warnings it raised).  The warnings are returned rather than shown
-    because a worker process cannot show them to the caller of ``fit``."""
+def _attempt(step):
+    """Call ``step()`` and record the warnings it raises: (its value or None,
+    failure message or None, the warnings).  The warnings are returned
+    rather than shown because a worker process cannot show them to the
+    caller."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = run_chain(dataset, config, np.random.default_rng(seed),
-                               init=init)
-            failure = None
+            value, failure = step(), None
         except (DegenerateFitError, gauss.NumericalError) as exc:
-            result, failure = None, str(exc)
-    return result, failure, [w.message for w in caught]
+            value, failure = None, str(exc)
+    return value, failure, [w.message for w in caught]
 
 
-def fit(dataset: MixedDataset, config: ChainConfig,
-        init: MixtureParams | None = None) -> FitResult:
-    """Run ``config.n_chains`` independently seeded chains and return the one
-    whose posterior-mean estimate has the highest observed log-likelihood.
+def _run_unit(dataset: MixedDataset, init: MixtureParams | None,
+              configs: tuple[ChainConfig, ...], seed: np.random.SeedSequence
+              ) -> list[tuple]:
+    """The chains of one (g, chain seed) unit of a grid: one per config,
+    all of one g.  EM (or ``init``) runs once, and every chain starts from
+    its estimate and a copy of the generator state after it, so each chain
+    sees the stream it would see alone.  Returns each chain's ``_attempt``
+    outcome, the EM's warnings first."""
+    rng = np.random.default_rng(seed)
+    initial, failure, em_warnings = _attempt(
+        lambda: init if init is not None
+        else init_local_independent(dataset, configs[0].g, rng))
+    if failure is not None:
+        return [(None, failure, em_warnings)] * len(configs)
+    after_em = rng.bit_generator.state
+    outcomes = []
+    for config in configs:
+        rng.bit_generator.state = after_em
+        result, failure, caught = _attempt(
+            functools.partial(run_chain, dataset, config, rng, init=initial))
+        outcomes.append((result, failure, em_warnings + caught))
+    return outcomes
 
-    The chains run in forked worker processes, one per usable CPU; the
-    result, and the order of the chains' warnings, is that of a serial run.
+
+def _run_grid(dataset: MixedDataset, configs, init: MixtureParams | None = None
+              ) -> list[list[tuple]]:
+    """Run the chains of every config, each config's outcomes (see
+    ``_run_unit``) in chain order.
+
+    Configs that share g, seed and chain count share their (g, chain seed)
+    units, so EM runs once per unit whatever the families.  The units run
+    in one ordered pool of forked worker processes, one per usable CPU;
+    the outcomes are those of a serial run.
     """
-    start = time.perf_counter()
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_chains)
-    chain = functools.partial(_run_seeded_chain, dataset, config, init)
-    workers = _chain_worker_count(config.n_chains)
+    groups = {}  # (g, seed, n_chains) -> indices of its configs
+    for i, config in enumerate(configs):
+        groups.setdefault((config.g, config.seed, config.n_chains),
+                          []).append(i)
+    units = [(members, seed)
+             for (_, master, n_chains), members in groups.items()
+             for seed in np.random.SeedSequence(master).spawn(n_chains)]
+    jobs = ([tuple(configs[i] for i in members) for members, _ in units],
+            [seed for _, seed in units])
+    unit = functools.partial(_run_unit, dataset, init)
+    workers = _chain_worker_count(len(units))
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            outcomes = list(pool.map(chain, seeds))
+            done = list(pool.map(unit, *jobs))
     else:
-        outcomes = [chain(s) for s in seeds]
+        done = list(map(unit, *jobs))
+    outcomes = [[] for _ in configs]
+    for (members, _), unit_outcomes in zip(units, done):
+        for i, outcome in zip(members, unit_outcomes):
+            outcomes[i].append(outcome)
+    return outcomes
+
+
+def _best_chain(outcomes: list[tuple]) -> FitResult:
+    """The chain among one config's ``outcomes`` whose posterior-mean
+    estimate has the highest observed log-likelihood, with every chain's
+    log-likelihood.  The chains' warnings are shown first, in chain order,
+    attributed to the caller's caller; ``DegenerateFitError`` when every
+    chain failed.
+    """
     results = []
     failures = []
     for result, failure, caught in outcomes:
         for message in caught:
-            warnings.warn(message, stacklevel=2)
+            warnings.warn(message, stacklevel=3)
         if failure is None:
             results.append(result)
         else:
@@ -663,8 +754,21 @@ def fit(dataset: MixedDataset, config: ChainConfig,
         raise DegenerateFitError("every chain failed: " + "; ".join(failures))
     logliks = tuple(r.loglik for r in results)
     best = int(np.argmax(logliks))
-    return replace(results[best], chain_logliks=logliks, chain_index=best,
-                   wall_time=time.perf_counter() - start)
+    return replace(results[best], chain_logliks=logliks, chain_index=best)
+
+
+def fit(dataset: MixedDataset, config: ChainConfig,
+        init: MixtureParams | None = None) -> FitResult:
+    """Run ``config.n_chains`` independently seeded chains and return the one
+    whose posterior-mean estimate has the highest observed log-likelihood.
+
+    The chains run through ``_run_grid``, in one pool of forked worker
+    processes, one per usable CPU; the result, and the order of the
+    chains' warnings, is that of a serial run.
+    """
+    start = time.perf_counter()
+    best = _best_chain(_run_grid(dataset, [config], init)[0])
+    return replace(best, wall_time=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,13 @@ def sweep(dataset: MixedDataset, g_values, families,
           config: sp.ChainConfig | None = None) -> CriterionReport:
     """Fit every (family, g) combination and tabulate the criteria.
 
+    Each cell is the ``sampler.fit`` of its config, but the whole grid runs
+    as one set of chains (``sampler._run_grid``): one pool of worker
+    processes, the locally independent EM once per (g, chain seed) for
+    every family, and under the independent family no latent Gaussian
+    coordinates for the discrete columns.  The cells, and the order of
+    their warnings, are those of fitting them one by one.
+
     A combination whose fit collapses (sampler failure, non-finite
     likelihood, or a component of effective weight below 1/n) is kept in the
     table as a degenerate NaN cell rather than aborting the sweep.
@@ -128,12 +135,15 @@ def sweep(dataset: MixedDataset, g_values, families,
         raise ValueError("sweep needs at least one g and one family")
     base = config or sp.ChainConfig(g=g_values[0])
     n = dataset.n
+    configs = [replace(base, g=g, family=family)
+               for family in families for g in g_values]
+    grid = iter(sp._run_grid(dataset, configs))
     cells = []
     for family in families:
         for g in g_values:
             nu = param_count(dataset.schema, g, family)
             try:
-                result = sp.fit(dataset, replace(base, g=g, family=family))
+                result = sp._best_chain(next(grid))
                 degenerate = _is_degenerate(result, n)
             except (sp.DegenerateFitError, ArithmeticError) as exc:
                 warnings.warn(f"{family} g={g}: {exc}", RuntimeWarning,

@@ -146,14 +146,12 @@ def scores_csv(projection: dict) -> str:
     a, b = projection["axes"]
     buf = io.StringIO()
     buf.write("row_id,component_k,axis_a,axis_b,score_a,score_b,label,mc_err\n")
-    scores = projection["scores"]
-    labels = projection["labels"]
-    errs = projection["mc_error"]
     k = projection["component"]
-    for i in range(scores.shape[0]):
-        mc = float(np.max(errs[i]))
-        buf.write(f"{i},{k + 1},{a + 1},{b + 1},{float(scores[i, 0])!r},"
-                  f"{float(scores[i, 1])!r},{labels[i] + 1},{mc!r}\n")
+    rows = zip(projection["scores"].tolist(), projection["labels"].tolist(),
+               projection["mc_error"].max(axis=1).tolist())
+    for i, ((score_a, score_b), label, mc) in enumerate(rows):
+        buf.write(f"{i},{k + 1},{a + 1},{b + 1},{score_a!r},{score_b!r},"
+                  f"{label + 1},{mc!r}\n")
     return buf.getvalue()
 
 

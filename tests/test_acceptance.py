@@ -380,6 +380,10 @@ class TestSamplerInvariants:
                 values[rows], mx.discrete_index(values[rows], c), comp)
             if c:
                 np.testing.assert_array_equal(state.y[rows][:, :c], y_c)
+            if params.family == mx.INDEPENDENT:
+                # nothing reads the discrete latent coordinates there
+                assert np.all(np.isnan(state.y[rows, c:]))
+                continue
             for j in range(c, params.dim):
                 assert np.all((state.y[rows, j] > lo[:, j - c])
                               & (state.y[rows, j] <= hi[:, j - c]))

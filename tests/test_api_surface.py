@@ -30,11 +30,13 @@ def _public_names(tree):
 
 
 def _references(module, tree):
-    """{(module, definition or None): {(module, name) it refers to}}."""
+    """{(module, definition or None): {(module, name) it refers to}}.  A
+    relative import inside a function (a command that loads its modules
+    when it runs) binds its alias as one at the top would."""
     modules = {}  # local alias -> module, for ``from . import x as y``
     names = {}  # local name -> (module, name), for ``from .x import y``
     defined = set()
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 local = alias.asname or alias.name
@@ -42,7 +44,8 @@ def _references(module, tree):
                     modules[local] = alias.name
                 else:
                     names[local] = (node.module, alias.name)
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, ast.Assign):
             defined.update(t.id for t in node.targets

@@ -181,13 +181,13 @@ class TestSelect:
 
     def test_keeps_no_draws(self, sim_dir, tmp_path, monkeypatch):
         kept = []
-        real_fit = sp.fit
+        real_run_grid = sp._run_grid
 
-        def fit(dataset, config):
-            kept.append(config.keep_draws)
-            return real_fit(dataset, config)
+        def run_grid(dataset, configs, init=None):
+            kept.extend(config.keep_draws for config in configs)
+            return real_run_grid(dataset, configs, init)
 
-        monkeypatch.setattr(sp, "fit", fit)
+        monkeypatch.setattr(sp, "_run_grid", run_grid)
         assert run(["select", str(sim_dir / "data.csv"),
                     str(sim_dir / "schema.txt"), "--gmin", "1", "--gmax", "1",
                     "--families", "independent",

@@ -309,3 +309,41 @@ class TestSerialization:
         doc["components"][0]["margins"][0]["family"] = "cauchy"
         with pytest.raises(ValueError):
             mx.params_from_json(json.dumps(doc))
+
+
+class TestComponentAxisReductions:
+    """``model._logsumexp`` and ``model._row_sum`` reduce over the
+    component axis column by column; their results must be scipy's and
+    numpy's, bit for bit."""
+
+    @staticmethod
+    def special_rows(g, rng):
+        a = rng.normal(scale=30.0, size=(400, g))
+        a[rng.random(a.shape) < 0.1] = -np.inf
+        a[rng.random(a.shape) < 0.1] = mx.LOG_DENSITY_FLOOR
+        a[:4] = -np.inf
+        a[4:8] = mx.LOG_DENSITY_FLOOR
+        a[8:12] = a[8:12, :1]  # ties for the maximum
+        a[12, -1] = np.inf
+        a[13, 0] = np.nan
+        a[14] = np.inf
+        a[15, 0], a[15, -1] = np.inf, -np.inf
+        a[16, -1] = np.nan
+        return a
+
+    def test_logsumexp_is_scipys(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(60)
+        for g in (1, 2, 3, 5, 7, 8, 9):
+            a = self.special_rows(g, rng)
+            ours = mx._logsumexp(a)
+            theirs = logsumexp(a, axis=1)
+            np.testing.assert_array_equal(ours, theirs)
+            np.testing.assert_array_equal(np.signbit(ours), np.signbit(theirs))
+
+    def test_row_sum_is_numpys(self):
+        rng = np.random.default_rng(61)
+        for g in (1, 2, 3, 5, 7, 8, 9, 17):
+            a = rng.random((300, g)) * 10.0 ** rng.uniform(-8, 8, (300, g))
+            np.testing.assert_array_equal(mx._row_sum(a), a.sum(axis=1))

@@ -231,6 +231,17 @@ class TestStepLatent:
         np.testing.assert_array_equal(
             sp._categorical_rows(probs, FixedUniforms()), [0, 0, 1, 1])
 
+    def test_labels_match_cumulative_sum_rule(self):
+        # the running sum over columns is the cumulative sum's arithmetic
+        for g in (1, 2, 3, 7, 8, 11):
+            probs = np.random.default_rng(g).dirichlet(np.full(g, 0.3),
+                                                       size=2000)
+            u = np.random.default_rng(100 + g).random(2000)
+            expected = (probs.cumsum(axis=1)[:, :-1] < u[:, None]).sum(axis=1)
+            np.testing.assert_array_equal(
+                sp._categorical_rows(probs, np.random.default_rng(100 + g)),
+                expected)
+
     def test_move_preserves_posterior_frequencies(self):
         # with many repeated moves the label distribution approaches the
         # posterior membership probabilities

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -187,3 +190,92 @@ class TestSweep:
     def test_empty_grid_rejected(self, dataset):
         with pytest.raises(ValueError):
             sel.sweep(dataset, [], [mx.INDEPENDENT])
+
+
+def _two_workers(n_units):
+    return min(n_units, 2)
+
+
+def _chain_number(rng):
+    return rng.bit_generator.seed_seq.spawn_key[-1]
+
+
+class TestSweepRunsOneGrid:
+    """``sweep`` runs the whole grid as one set of chains: one pool, EM
+    once per (g, chain seed).  Each cell must still be the standalone
+    ``fit`` of its config, and its warnings must come in serial order."""
+
+    FAMILIES = (mx.INDEPENDENT, mx.HOMOSCEDASTIC, mx.HETEROSCEDASTIC)
+
+    def test_every_cell_is_its_standalone_fit(self, monkeypatch):
+        ds, _, _ = mx.generate(120, example_mixture(),
+                               np.random.default_rng(41))
+        base = sp.ChainConfig(g=1, iterations=12, burn_in=3, n_chains=2,
+                              seed=9)
+        real_best_chain = sp._best_chain
+        picked = []
+
+        def best_chain(outcomes):
+            picked.append(real_best_chain(outcomes))
+            return picked[-1]
+
+        monkeypatch.setattr(sp, "_best_chain", best_chain)
+        monkeypatch.setattr(sp, "_chain_worker_count", _two_workers)
+        report = sel.sweep(ds, [1, 2], self.FAMILIES, base)
+        monkeypatch.setattr(sp, "_best_chain", real_best_chain)
+        monkeypatch.setattr(sp, "_chain_worker_count", lambda n: 1)
+        assert len(picked) == len(report.cells) == 6
+        for cell, result in zip(report.cells, picked):
+            alone = sp.fit(ds, replace(base, g=cell.g, family=cell.family))
+            assert mx.params_to_json(result.params) == \
+                mx.params_to_json(alone.params)
+            np.testing.assert_array_equal(result.posterior, alone.posterior)
+            assert result.loglik == alone.loglik == cell.loglik
+            assert result.chain_logliks == alone.chain_logliks
+            assert result.messages == alone.messages
+
+    def test_warnings_keep_their_serial_order(self, monkeypatch):
+        ds, _, _ = mx.generate(80, example_mixture(),
+                               np.random.default_rng(42))
+        base = sp.ChainConfig(g=1, iterations=4, burn_in=1, n_chains=2,
+                              seed=3)
+        real_em = sp.init_local_independent
+        real_chain = sp.run_chain
+        em_calls = []
+
+        def em(dataset, g, rng):
+            em_calls.append(g)
+            warnings.warn(f"EM g={g} chain {_chain_number(rng)}",
+                          RuntimeWarning)
+            return real_em(dataset, g, rng)
+
+        def chain(dataset, config, rng, init=None):
+            number = _chain_number(rng)
+            warnings.warn(f"{config.family} g={config.g} chain {number}",
+                          RuntimeWarning)
+            if (config.family, config.g) == (mx.HOMOSCEDASTIC, 2):
+                raise sp.DegenerateFitError(f"collapsed {number}")
+            return real_chain(dataset, config, rng, init=init)
+
+        monkeypatch.setattr(sp, "init_local_independent", em)
+        monkeypatch.setattr(sp, "run_chain", chain)
+        expected = []
+        for family in self.FAMILIES:
+            for g in (1, 2):
+                for number in range(2):
+                    expected += [f"EM g={g} chain {number}",
+                                 f"{family} g={g} chain {number}"]
+            if family == mx.HOMOSCEDASTIC:
+                expected.append("homoscedastic g=2: every chain failed: "
+                                "collapsed 0; collapsed 1")
+        for workers in (lambda n: 1, _two_workers):
+            monkeypatch.setattr(sp, "_chain_worker_count", workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = sel.sweep(ds, [1, 2], self.FAMILIES, base)
+            assert [str(w.message) for w in caught] == expected
+            assert all(w.category is RuntimeWarning for w in caught)
+            assert [cell.degenerate for cell in report.cells] == [
+                False, False, False, True, False, False]
+        # in-process, EM ran once per (g, chain) for all three families
+        assert em_calls == [1, 1, 2, 2]
